@@ -124,6 +124,14 @@ ServiceConfig gpu_config(u32 workers) {
   return cfg;
 }
 
+/// Starts a JSON row stamped with the host it ran on: hardware threads
+/// (service throughput scales with them) and the widest kernel ISA.
+bench::JsonRows& host_row(bench::JsonRows& json) {
+  return json.row()
+      .field("nproc", static_cast<u64>(std::thread::hardware_concurrency()))
+      .field("best_isa", to_string(best_isa()));
+}
+
 /// CI smoke: a small gpu-enabled burst must actually offload and stay
 /// byte-identical to the serial mapper. Returns the process exit code.
 int run_smoke() {
@@ -177,8 +185,8 @@ int main(int argc, char** argv) {
   const Workload w = make_workload();
 
   print_header("Service throughput (requests/sec, burst replay)");
-  print_row("hardware threads: %u (scaling with workers needs > 1)\n",
-            std::thread::hardware_concurrency());
+  print_row("hardware threads: %u (scaling with workers needs > 1), widest ISA %s\n",
+            std::thread::hardware_concurrency(), to_string(best_isa()));
   // Serial baseline: the same reads through Mapper::map with no service.
   {
     Mapper mapper(w.ref, MapOptions::map_pb());
@@ -192,7 +200,7 @@ int main(int argc, char** argv) {
     for (const bool longest_first : {true, false}) {
       const double rps = run_once(w, workers, longest_first);
       print_row("%-10u %-13s %12.1f\n", workers, longest_first ? "longest-first" : "fifo", rps);
-      json.row()
+      host_row(json)
           .field("mode", "cpu")
           .field("workers", static_cast<u64>(workers))
           .field("batching", longest_first ? "longest-first" : "fifo")
@@ -220,7 +228,7 @@ int main(int argc, char** argv) {
               offload_frac * 100.0, g.snap.gpu_occupancy, g.snap.gpu_stream_utilization,
               static_cast<double>(g.snap.gpu_staged_bytes) / (1024.0 * 1024.0), dev_rps,
               cpu_rps);
-    json.row()
+    host_row(json)
         .field("mode", "gpu")
         .field("workers", static_cast<u64>(workers))
         .field("offload_batches", g.snap.gpu_offload_batches)

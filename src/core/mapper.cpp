@@ -1,8 +1,6 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "align/arena.hpp"
 #include "align/banded.hpp"
@@ -221,9 +219,6 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       }
       if (retry_full) {
         ++band_fallbacks;
-        if (std::getenv("MM_BAND_DEBUG"))
-          std::fprintf(stderr, "[band-fallback] mode=%d tlen=%d qlen=%d band=%d\n",
-                       static_cast<int>(mode), a.tlen, a.qlen, band_hint);
         a.band = 0;
         a.zdrop = 0;
         configure_spill();

@@ -47,12 +47,16 @@ class BoundedQueue {
   /// Blocks while empty. Empty optional means closed-and-drained.
   std::optional<T> pop() {
     std::unique_lock lock(mu_);
+    ++waiting_;
     not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
+    --waiting_;
+    return take_front();
+  }
+
+  /// Non-blocking pop: empty optional when nothing is queued right now.
+  std::optional<T> try_pop() {
+    std::lock_guard lock(mu_);
+    return take_front();
   }
 
   /// Deadline-aware pop: waits at most `timeout`. Empty optional means
@@ -62,12 +66,10 @@ class BoundedQueue {
   template <typename Rep, typename Period>
   std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
     std::unique_lock lock(mu_);
+    ++waiting_;
     not_empty_.wait_for(lock, timeout, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
+    --waiting_;
+    return take_front();
   }
 
   /// No more pushes; consumers drain the remainder then see nullopt.
@@ -76,6 +78,15 @@ class BoundedQueue {
     closed_ = true;
     not_empty_.notify_all();
     not_full_.notify_all();
+  }
+
+  /// Consumers blocked in pop()/pop_for() that no queued item will wake:
+  /// the waiting consumers minus the items queued for them, floored at 0,
+  /// and 0 once closed. Non-zero means a push now is served at once.
+  std::size_t idle_consumers() const {
+    std::lock_guard lock(mu_);
+    if (closed_ || waiting_ <= items_.size()) return 0;
+    return waiting_ - items_.size();
   }
 
   std::size_t size() const {
@@ -91,10 +102,20 @@ class BoundedQueue {
   }
 
  private:
+  /// Requires mu_ held.
+  std::optional<T> take_front() {
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
+    not_full_.notify_one();
+    return item;
+  }
+
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_, not_full_;
   std::deque<T> items_;
+  std::size_t waiting_ = 0;  ///< consumers inside pop()/pop_for()
   bool closed_ = false;
 };
 

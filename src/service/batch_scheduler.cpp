@@ -4,54 +4,52 @@
 
 namespace manymap {
 
-u64 BatchScheduler::run(const std::function<void(RequestBatch&&)>& emit) {
-  using clock = std::chrono::steady_clock;
-  u64 emitted = 0;
-  u64 next_id = 0;
-  RequestBatch cur;
-  clock::time_point flush_at{};  // valid while cur is non-empty
+namespace {
 
-  auto flush = [&] {
-    if (cur.items.empty()) return;
+/// While lingering, how often the scheduler re-asks whether a worker went
+/// idle (the worker waits on its shard queue, not on the ingress).
+constexpr std::chrono::microseconds kIdlePoll{100};
+
+}  // namespace
+
+u64 BatchScheduler::run(const std::function<void(RequestBatch&&)>& emit,
+                        const std::function<bool()>& worker_idle) {
+  using clock = std::chrono::steady_clock;
+  const auto idle = [&] { return worker_idle && worker_idle(); };
+  u64 emitted = 0;
+  for (;;) {
+    std::optional<PendingRequest> item = ingress_.pop();  // nothing held: block freely
+    if (!item) break;                                     // closed and drained
+    RequestBatch batch;
+    batch.items.push_back(std::move(*item));
+    const auto linger_until = clock::now() + policy_.max_delay;
+    // Grow the batch only while no worker waits for it: from what the
+    // ingress already holds, then (opt-in) by lingering for arrivals.
+    while (batch.items.size() < policy_.max_batch_size && !idle()) {
+      item = ingress_.try_pop();
+      if (!item) {
+        const auto now = clock::now();
+        if (now >= linger_until) break;
+        item = ingress_.pop_for(std::min<clock::duration>(linger_until - now, kIdlePoll));
+        if (!item) {
+          if (ingress_.closed()) break;  // drained for good: flush now
+          continue;
+        }
+      }
+      batch.items.push_back(std::move(*item));
+    }
     if (policy_.longest_first) {
       // Stable: equal-length reads keep arrival order, so batch contents
       // are a deterministic function of the request stream.
-      std::stable_sort(cur.items.begin(), cur.items.end(),
+      std::stable_sort(batch.items.begin(), batch.items.end(),
                        [](const PendingRequest& a, const PendingRequest& b) {
                          return a.req.read.size() > b.req.read.size();
                        });
     }
-    cur.id = next_id++;
-    emit(std::move(cur));
-    cur = RequestBatch{};
-    ++emitted;
-  };
-
-  for (;;) {
-    std::optional<PendingRequest> item;
-    if (cur.items.empty()) {
-      item = ingress_.pop();  // nothing to flush: block freely
-      if (!item) break;       // closed and drained
-    } else {
-      const auto now = clock::now();
-      if (now >= flush_at) {
-        flush();
-        continue;
-      }
-      item = ingress_.pop_for(flush_at - now);
-      if (!item) {
-        // Delay expired (or the queue closed while we waited): flush and
-        // re-enter via the blocking pop, which drains any late arrivals
-        // before reporting closed.
-        flush();
-        continue;
-      }
-    }
-    if (cur.items.empty()) flush_at = clock::now() + policy_.max_delay;
-    cur.items.push_back(std::move(*item));
-    if (cur.items.size() >= policy_.max_batch_size) flush();
+    batch.id = emitted++;
+    batch.handed_off = clock::now();
+    emit(std::move(batch));
   }
-  flush();
   return emitted;
 }
 

@@ -55,7 +55,9 @@ struct MapResponse {
   std::vector<Mapping> mappings;  ///< best-first, as Mapper::map returns
   std::string paf;                ///< PAF lines for the mappings
   MapTimings timings;             ///< seed/chain/align stage breakdown
-  double queue_ms = 0.0;          ///< submit -> compute start (or verdict)
+  double queue_ms = 0.0;          ///< submit -> compute start (or verdict); the sum of:
+  double batch_wait_ms = 0.0;     ///<   submit -> batch handed off by the scheduler
+  double shard_wait_ms = 0.0;     ///<   hand-off -> compute start (shard queue)
   double compute_ms = 0.0;        ///< Mapper::map wall time
   u32 shard = 0;                  ///< worker shard that served the request
   u64 batch_id = 0;               ///< compute batch the request rode in

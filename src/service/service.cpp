@@ -45,6 +45,14 @@ i64 now_ns() {
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 
+/// Splits a request's wait at its batch's hand-off; queue_ms is the sum.
+void stamp_waits(MapResponse& resp, const PendingRequest& p, const RequestBatch& batch,
+                 std::chrono::steady_clock::time_point until) {
+  resp.batch_wait_ms = ms_since(p.enqueued, batch.handed_off);
+  resp.shard_wait_ms = ms_since(batch.handed_off, until);
+  resp.queue_ms = resp.batch_wait_ms + resp.shard_wait_ms;
+}
+
 }  // namespace
 
 AlignmentService::AlignmentService(const Reference& ref, ServiceConfig cfg)
@@ -243,7 +251,11 @@ void AlignmentService::dispatch_batch(RequestBatch&& batch) {
       batch.est_dirs_bytes += estimate_dirs_bytes(cfg_.map, p.req.read.size());
   }
   u32 target = 0;
-  if (cfg_.dispatch == ServiceConfig::Dispatch::kRoundRobin || shards_.size() == 1) {
+  if (const std::optional<u32> idle = idle_shard()) {
+    // Work conservation: a shard with a worker waiting on an empty queue
+    // takes the batch ahead of the dispatch policy.
+    target = *idle;
+  } else if (cfg_.dispatch == ServiceConfig::Dispatch::kRoundRobin || shards_.size() == 1) {
     target = static_cast<u32>(rr_next_++ % shards_.size());
   } else {
     u64 best = shards_[0]->outstanding_bases.load(std::memory_order_relaxed);
@@ -282,9 +294,23 @@ void AlignmentService::dispatch_batch(RequestBatch&& batch) {
   shards_[target]->queue.push(std::move(batch));  // blocking: backpressure
 }
 
+std::optional<u32> AlignmentService::idle_shard() const {
+  std::optional<u32> best;
+  std::size_t most = 0;
+  for (u32 s = 0; s < shards_.size(); ++s) {
+    const std::size_t idle = shards_[s]->queue.idle_consumers();
+    if (idle > most) {
+      most = idle;
+      best = s;
+    }
+  }
+  return best;
+}
+
 void AlignmentService::scheduler_loop() {
   BatchScheduler scheduler(ingress_, cfg_.batch);
-  scheduler.run([this](RequestBatch&& batch) { dispatch_batch(std::move(batch)); });
+  scheduler.run([this](RequestBatch&& batch) { dispatch_batch(std::move(batch)); },
+                [this] { return idle_shard().has_value(); });
   // Ingress is closed and fully drained: let the workers run dry.
   for (auto& shard : shards_) shard->queue.close();
 }
@@ -298,7 +324,7 @@ MapResponse AlignmentService::serve_one(PendingRequest& p, u32 shard_id,
   resp.batch_id = batch.id;
   resp.batch_size = static_cast<u32>(batch.items.size());
   const auto compute_start = std::chrono::steady_clock::now();
-  resp.queue_ms = ms_since(p.enqueued, compute_start);
+  stamp_waits(resp, p, batch, compute_start);
   if (p.req.deadline && compute_start > *p.req.deadline) {
     resp.status = RequestStatus::kTimedOut;
     return resp;
@@ -570,6 +596,7 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
             state->next < batch->items.size()) {
           RequestBatch rest;
           rest.id = batch->id;
+          rest.handed_off = batch->handed_off;
           rest.cpu_only = true;
           rest.items.reserve(batch->items.size() - state->next);
           for (std::size_t i = state->next; i < batch->items.size(); ++i)
@@ -664,7 +691,7 @@ void AlignmentService::watchdog_loop(u32 shard_id) {
           resp.batch_size = static_cast<u32>(batch->items.size());
           resp.status = RequestStatus::kFailed;
           resp.error = "worker stalled; batch failed by watchdog";
-          resp.queue_ms = ms_since(p.enqueued, now);
+          stamp_waits(resp, p, *batch, now);
           p.promise.set_value(std::move(resp));
           metrics_.on_failed();
           breaker_.on_failure(now);

@@ -15,6 +15,13 @@
 //   clients --submit--> [ingress queue] --scheduler--> per-shard batch
 //   queues --workers--> promise fulfilment
 //
+// The scheduler is work-conserving: while a worker waits on an empty
+// shard queue, each request goes straight to that shard as a batch of
+// one; otherwise a batch takes what the ingress already holds (up to
+// max_batch_size), so batches grow only while the shard queues back up.
+// MapResponse splits the wait at the hand-off (batch_wait_ms,
+// shard_wait_ms).
+//
 // Admission control happens at the ingress queue: submit() uses try_push
 // and answers kRejected immediately when the queue is full, so a saturated
 // service sheds load instead of blocking callers without bound
@@ -41,6 +48,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -256,6 +264,8 @@ class AlignmentService {
   void worker_loop(u32 shard, std::shared_ptr<WorkerState> state);
   void watchdog_loop(u32 shard);
   void dispatch_batch(RequestBatch&& batch);
+  /// The shard with the most workers waiting on an empty queue, if any.
+  std::optional<u32> idle_shard() const;
   std::future<MapResponse> admit(MapRequest req, bool blocking);
   /// Per-batch device-offload context a worker threads through serve_one
   /// when the placement policy routed the batch to the device. `mapper` is

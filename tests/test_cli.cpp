@@ -112,12 +112,17 @@ TEST(Serve, RejectsNonPositiveNumericOptions) {
   for (const char* bad :
        {"--workers 0", "--shards -1", "--batch-size 0", "--queue-capacity -4",
         "--verify-sample 0", "--mem-budget-mb 0", "--mem-budget-mb -5", "--reads 2x",
-        "--length nope", "--batch-delay-us 0", "--deadline-ms -1", "--rate -0.5",
+        "--length nope", "--batch-delay-us -1", "--deadline-ms -1", "--rate -0.5",
         "--seed -9"}) {
     // Bad value last so it wins over the baseline (repeated options keep
     // the final occurrence).
     EXPECT_NE(run_serve("--reads 1 --length 10000 " + std::string(bad)), 0) << bad;
   }
+}
+
+TEST(Serve, BatchDelayAcceptsZeroAsNoLinger) {
+  EXPECT_EQ(run_serve("--length 20000 --reads 4 --workers 1 --batch-delay-us 0 --verify"), 0);
+  EXPECT_EQ(run_serve("--length 20000 --reads 4 --workers 1 --batch-delay-us 300 --verify"), 0);
 }
 
 TEST(Serve, MemBudgetRunEndsCleanly) {

@@ -136,6 +136,34 @@ TEST(Queue, PopForUnblocksOnCloseAndOnPush) {
   waiter.join();
 }
 
+TEST(Queue, TryPopNeverBlocks) {
+  BoundedQueue<int> q(2);
+  EXPECT_FALSE(q.try_pop().has_value());
+  q.push(3);
+  EXPECT_EQ(q.try_pop(), 3);
+  q.push(4);
+  q.close();
+  EXPECT_EQ(q.try_pop(), 4);  // close() still drains
+  EXPECT_FALSE(q.try_pop().has_value());
+}
+
+TEST(Queue, IdleConsumersCountsUnservedWaiters) {
+  BoundedQueue<int> q(4);
+  EXPECT_EQ(q.idle_consumers(), 0u);  // nobody waiting
+  std::thread taker([&] { EXPECT_EQ(q.pop(), 1); });  // one item, then leaves
+  while (q.idle_consumers() == 0) std::this_thread::yield();
+  EXPECT_EQ(q.idle_consumers(), 1u);  // blocked in pop()
+  q.push(1);
+  // Whether or not the taker has woken yet, the item is its: not idle.
+  EXPECT_EQ(q.idle_consumers(), 0u);
+  taker.join();
+  std::thread waiter([&] { EXPECT_FALSE(q.pop().has_value()); });  // woken by close
+  while (q.idle_consumers() == 0) std::this_thread::yield();
+  q.close();
+  EXPECT_EQ(q.idle_consumers(), 0u);
+  waiter.join();
+}
+
 TEST(Queue, ProducerConsumerStress) {
   BoundedQueue<int> q(3);
   constexpr int kN = 2000;

@@ -4,11 +4,11 @@
 //
 // Each seed deterministically derives a fault plan (worker exceptions,
 // slow/stalled compute, DP allocation failures, queue delays), a small
-// randomized service configuration (shards, workers, watchdog, breaker)
-// and a request mix (submit vs submit_wait, with and without deadlines),
-// then asserts the robustness contract. Every eighth seed is a SPILL
-// STORM: the memory budget is squeezed until every path-mode kernel
-// streams its direction bytes through a spill sink, and the
+// randomized service configuration (shards, workers, batch linger,
+// watchdog, breaker) and a request mix (submit vs submit_wait, with and
+// without deadlines), then asserts the robustness contract. Every eighth
+// seed is a SPILL STORM: the memory budget is squeezed until every
+// path-mode kernel streams its direction bytes through a spill sink, and the
 // align.dirs.spill / align.dirs.spill_io fault sites are battered on top —
 // the degradation ladder must still deliver terminal statuses. Every
 // fourth seed is a GPU STORM: device offload is enabled (placement loosened
@@ -109,7 +109,10 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
   cfg.workers_per_shard = static_cast<u32>(rng.range(1, 3));
   cfg.ingress_capacity = static_cast<std::size_t>(rng.range(8, 32));
   cfg.batch.max_batch_size = static_cast<u32>(rng.range(2, 8));
-  cfg.batch.max_delay = std::chrono::microseconds(rng.range(200, 2000));
+  // Half the seeds run the default work-conserving scheduler (no linger),
+  // half linger 200-2000 us; one draw keeps every other seed draw stable.
+  const i64 delay_draw = rng.range(0, 3600);
+  cfg.batch.max_delay = std::chrono::microseconds(delay_draw < 1800 ? 0 : delay_draw - 1600);
   cfg.watchdog.poll = std::chrono::milliseconds(20);
   cfg.watchdog.stall_timeout =
       std::chrono::milliseconds(std::max<i64>(rng.range(150, 250), stall_floor_ms));
@@ -334,13 +337,14 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
 
   if (verbose)
     std::fprintf(stderr,
-                 "[chaos] seed=%llu%s%s%s shards=%u workers=%u specs=%u fires=%llu "
-                 "ok=%llu rejected=%llu timed_out=%llu failed=%llu warming=%llu "
+                 "[chaos] seed=%llu%s%s%s shards=%u workers=%u delay_us=%lld specs=%u "
+                 "fires=%llu ok=%llu rejected=%llu timed_out=%llu failed=%llu warming=%llu "
                  "stalls=%llu%s%s\n",
                  static_cast<unsigned long long>(seed), spill_storm ? " [spill-storm]" : "",
                  gpu_storm ? " [gpu-storm]" : "", index_storm ? " [index-storm]" : "",
                  cfg.shards, cfg.workers_per_shard,
-                 nspecs, static_cast<unsigned long long>(plan.fires()),
+                 static_cast<long long>(cfg.batch.max_delay.count()), nspecs,
+                 static_cast<unsigned long long>(plan.fires()),
                  static_cast<unsigned long long>(by_status[0]),
                  static_cast<unsigned long long>(by_status[1]),
                  static_cast<unsigned long long>(by_status[2]),

@@ -19,7 +19,8 @@
 //   --dispatch rr|length   batch dispatch policy (default rr)
 //   --queue-capacity N     ingress queue bound (default 64)
 //   --batch-size N         max requests per compute batch (default 16)
-//   --batch-delay-us N     max batch coalescing delay (default 2000)
+//   --batch-delay-us N     linger for fuller batches while no worker is idle
+//                          (default 0 = no linger: hand batches off at once)
 //   --no-longest-first     disable §4.4.4 longest-first batch ordering
 //   --deadline-ms F        per-request deadline, 0 = none (default 0)
 // Replay:
@@ -53,7 +54,8 @@
 //                          agreement, print a summary, exit 0/1 (no serving)
 //
 // All numeric options are validated: counts must be positive integers,
-// --deadline-ms/--rate non-negative; violations answer with usage().
+// --deadline-ms/--rate/--batch-delay-us non-negative; violations answer
+// with usage().
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -95,7 +97,7 @@ std::optional<i64> positive_opt(const ArgList& args, const std::string& key, i64
   return v;
 }
 
-/// Fetch an option as a non-negative integer (seeds).
+/// Fetch an option as a non-negative integer (seeds, delays; 0 = none).
 std::optional<i64> nonneg_int_opt(const ArgList& args, const std::string& key, i64 dflt) {
   if (!args.has(key)) return dflt;
   const auto v = parse_int(args.get(key, ""));
@@ -159,7 +161,9 @@ int usage() {
                "  [--index-save PATH] [--index-load PATH] [--index-verify PATH]\n"
                "  [--band auto|B (auto = per-segment geometry, 0 = unbanded)] [--zdrop Z (0 = off)]\n"
                "numeric options must be positive integers (--deadline-ms/--rate accept 0 =\n"
-               "disabled); --mem-budget-mb caps each shard's estimated in-flight direction\n"
+               "disabled); --batch-delay-us is how long a partial batch lingers for more\n"
+               "requests while no worker is idle (default 0 = no linger);\n"
+               "--mem-budget-mb caps each shard's estimated in-flight direction\n"
                "bytes and degrades over-budget requests to streamed dirs, then score-only;\n"
                "--gpu offloads long uniform batches to the simulated device (bit-identical)\n");
   return 2;
@@ -223,7 +227,7 @@ int main(int argc, char** argv) {
   }
 
   // Strict numeric validation up front: every count must be positive,
-  // rates/timeouts non-negative; anything else answers with usage.
+  // rates/timeouts/delays non-negative; anything else answers with usage.
   const auto seed_opt = nonneg_int_opt(args, "seed", 42);
   const auto length_opt = positive_opt(args, "length", 400'000);
   const auto reads_opt = positive_opt(args, "reads", 2000);
@@ -231,7 +235,7 @@ int main(int argc, char** argv) {
   const auto workers_opt = positive_opt(args, "workers", 4);
   const auto queue_cap_opt = positive_opt(args, "queue-capacity", 64);
   const auto batch_size_opt = positive_opt(args, "batch-size", 16);
-  const auto batch_delay_opt = positive_opt(args, "batch-delay-us", 2000);
+  const auto batch_delay_opt = nonneg_int_opt(args, "batch-delay-us", 0);
   const auto verify_sample_opt = positive_opt(args, "verify-sample", 16);
   const auto mem_budget_opt = positive_opt(args, "mem-budget-mb", 0);
   const auto gpu_streams_opt = positive_opt(args, "gpu-streams", 8);
