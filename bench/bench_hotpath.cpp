@@ -11,10 +11,9 @@
 // banded kernel variants on one 16 kbp x 16 kbp pair — band 64 / 251 /
 // 1024 vs the full kernel, ns normalized by the FULL matrix cell count —
 // and the run fails unless band 251 beats the full kernel decisively.
-// An end-to-end section ("path-16k-unbanded" / "path-16k-autoband" rows)
-// maps real 16 kbp simulated noisy reads through the whole Mapper with
-// band_mode off vs auto on a warmed arena: auto must beat off >= 1.5x
-// while holding the zero-steady-state-allocation contract.
+// An end-to-end row ("path-16k-unbanded") maps 16 kbp simulated reads
+// through the whole Mapper on a warmed arena and holds it to the same
+// zero-steady-state-allocation contract.
 //
 // Usage:
 //   bench_hotpath [--out BENCH_hotpath.json]   full run (~1 min)
@@ -264,31 +263,20 @@ double collect_banded(double min_seconds, std::vector<Row>& rows) {
   return band251_ns > 0.0 ? full_ns / band251_ns : 0.0;
 }
 
-/// End-to-end auto-banding rows: map 16 kbp noisy simulated reads through
-/// the full Mapper (seed -> chain -> extend) with band_mode off vs auto.
-/// The reads carry enough error to thin the anchor chains out, so
-/// inter-anchor gap fills dominate the DP — the segments the geometry
-/// estimator bands. Both rows run on a warmed per-row KernelArena (MapCall
-/// arena) and are normalized by the OFF-mode dp_cells total, so the column
-/// reads "effective ns per unbanded cell" and the two rows' ratio is the
-/// end-to-end speedup. Returns that ratio for the --smoke gate.
-double collect_autoband_e2e(double min_seconds, std::vector<Row>& rows) {
-  // The workload is built around ISOLATED anchor deserts: the reference
-  // alternates 300 bp unique blocks with 1.3 kbp copies of one repeat
-  // family, and a tight max_occ cap masks every repeat minimizer. Chains
-  // hop each desert (well under the chain max_dist), so the mapper closes
-  // ~1.3 kbp anchor-free MIDDLE gaps with gap-fill DP — anchored on both
-  // sides, which keeps the fill unambiguous and ledger-provable inside a
-  // geometry-derived band even over repeat content (a shifted-copy detour
-  // would have to gap back to both pinning anchors). HiFi-grade read
-  // error (~1%) keeps the in-band score deficit below the band-crossing
-  // cost. Reads are phase-aligned so both ends land mid-unique-block and
-  // the end extensions stay trivial; desert gap fills dominate the DP.
-  // Repeat length stays under ~1350 so gap dt*dq (with anchor-edge
-  // margin) stays below the mapper's huge-gap advisory cap: past that cap
-  // BOTH modes take the advisory banded path and the comparison measures
-  // nothing. Short unique blocks maximize deserts per read, and the unit
-  // length divides 16000 so every read end phase equals its start phase.
+/// End-to-end mapper row: map 16 kbp simulated reads through the full
+/// Mapper (seed -> chain -> extend) on a warmed per-row KernelArena (MapCall
+/// arena), so the zero-steady-state-allocation contract is checked for
+/// the whole hot path, not just the kernels. The column reads ns per DP
+/// cell the mapper counted.
+void collect_mapper_e2e(double min_seconds, std::vector<Row>& rows) {
+  // The reference alternates 300 bp unique blocks with 1.3 kbp copies of
+  // one repeat family, and a tight max_occ cap masks every repeat
+  // minimizer. Chains hop each desert (well under the chain max_dist), so
+  // the mapper closes ~1.3 kbp anchor-free middle gaps with gap-fill DP,
+  // all under the huge-gap cap so every fill runs the exact kernels. Reads
+  // are phase-aligned so both ends land mid-unique-block and the end
+  // extensions stay trivial; the unit length divides 16000 so every read
+  // end phase equals its start phase.
   constexpr i32 kUnique = 300, kRepeat = 1300, kUnit = kUnique + kRepeat;
   constexpr i32 kUnits = 16;
   Rng rng(2024);
@@ -334,97 +322,49 @@ double collect_autoband_e2e(double min_seconds, std::vector<Row>& rows) {
   reads.push_back(make_read(4 * kUnit + 150, "desert-read-c"));
   reads.push_back(make_read(6 * kUnit + 150, "desert-read-d"));
 
-  MapOptions opt_off = MapOptions::map_pb();
-  opt_off.band_mode = BandMode::kOff;
-  opt_off.max_occ_cap = 4;  // mask the repeat minimizers (kUnits copies)
+  MapOptions opt = MapOptions::map_pb();
+  opt.max_occ_cap = 4;  // mask the repeat minimizers (kUnits copies)
   // Sparser sketch: the unique blocks still yield ~35 anchors each, and
   // halving the minimizer count keeps fixed seeding cost from drowning
-  // the DP time this section is comparing.
-  opt_off.sketch.w = 19;
-  // HiFi-grade reads: the default indel headroom rate (sized for CLR's
-  // ~13% indels) would more than double the band these ~1%-error gap
-  // fills need. Both mappers share the policy so the huge-gap advisory
-  // path stays identical across modes.
-  opt_off.auto_band.indel_frac = 0.02;
-  MapOptions opt_auto = opt_off;
-  opt_auto.band_mode = BandMode::kAuto;
-  const MinimizerIndex index = MinimizerIndex::build(ref, opt_off.sketch);
-  const Mapper mapper_off(ref, index, opt_off);
-  const Mapper mapper_auto(ref, index, opt_auto);
+  // the DP time this row measures.
+  opt.sketch.w = 19;
+  const Mapper mapper(ref, opt);
 
-  // Normalizing cell count: what the unbanded mapper spends per pass.
-  MapTimings t_off, t_auto;
-  for (const auto& sr : reads) (void)mapper_off.map(sr, &t_off);
-  for (const auto& sr : reads) (void)mapper_auto.map(sr, &t_auto);
-  const u64 off_cells = t_off.dp_cells > 0 ? t_off.dp_cells : 1;
-  std::printf("autoband e2e workload: off cells=%llu align=%.1fms seed=%.1fms | "
-              "auto cells=%llu align=%.1fms banded=%llu full=%llu mean_band=%.0f "
-              "fallbacks=%llu\n",
-              static_cast<unsigned long long>(t_off.dp_cells),
-              t_off.align_seconds * 1e3, t_off.seed_chain_seconds * 1e3,
-              static_cast<unsigned long long>(t_auto.dp_cells),
-              t_auto.align_seconds * 1e3,
-              static_cast<unsigned long long>(t_auto.auto_band_kernels),
-              static_cast<unsigned long long>(t_auto.auto_band_full),
-              t_auto.auto_band_kernels > 0
-                  ? static_cast<double>(t_auto.auto_band_sum) /
-                        static_cast<double>(t_auto.auto_band_kernels)
-                  : 0.0,
-              static_cast<unsigned long long>(t_auto.band_fallbacks));
+  detail::KernelArena arena;
+  MapTimings t;
+  MapCall call;
+  call.arena = &arena;
+  call.timings = &t;
+  const auto pass = [&] {
+    for (const auto& sr : reads) (void)mapper.map(sr, call);
+  };
+  pass();  // count cells and warm the arena across every segment shape
+  call.timings = nullptr;
+  const u64 cells = t.dp_cells > 0 ? t.dp_cells : 1;
+  std::printf("mapper e2e workload: cells=%llu align=%.1fms seed=%.1fms\n",
+              static_cast<unsigned long long>(t.dp_cells), t.align_seconds * 1e3,
+              t.seed_chain_seconds * 1e3);
 
   detail::DpAllocStats& stats = detail::dp_alloc_stats();
-  // One e2e pass is ~10 ms; a single-rep smoke measurement is far too
-  // noisy to gate a >= 1.5x ratio on, so this section keeps its own
-  // timing floor regardless of the --smoke default. The two modes are
-  // timed INTERLEAVED, one off pass then one auto pass per rep, so CPU
-  // frequency drift and thermal throttling hit both sides equally instead
-  // of biasing whichever mode ran second.
-  const double e2e_min_seconds = std::max(min_seconds, 0.30);
-  detail::KernelArena arena_off, arena_auto;
-  MapCall call_off, call_auto;
-  call_off.arena = &arena_off;
-  call_auto.arena = &arena_auto;
-  const auto off_pass = [&] {
-    for (const auto& sr : reads) (void)mapper_off.map(sr, call_off);
-  };
-  const auto auto_pass = [&] {
-    for (const auto& sr : reads) (void)mapper_auto.map(sr, call_auto);
-  };
-  off_pass();   // warm the arenas across every segment shape of these
-  auto_pass();  // reads before the allocation-counting timed loop
-  const u64 growths_before_off = arena_off.growth_events();
-  const u64 growths_before_auto = arena_auto.growth_events();
+  const u64 growths_before = arena.growth_events();
   stats.reset();
-  double off_s = 0.0, auto_s = 0.0;
   u64 reps = 0;
-  {
-    WallTimer total;
-    do {
-      WallTimer t_o;
-      off_pass();
-      off_s += t_o.seconds();
-      WallTimer t_a;
-      auto_pass();
-      auto_s += t_a.seconds();
-      ++reps;
-    } while (total.seconds() < e2e_min_seconds && reps < 4000);
-  }
-  const u64 steady_allocs = stats.calls;  // both modes: must be zero anyway
-  for (const bool auto_mode : {false, true}) {
-    Row row;
-    row.family = "mapper";
-    row.layout = "e2e";
-    row.isa = to_string(best_isa());
-    row.mode = auto_mode ? "path-16k-autoband" : "path-16k-unbanded";
-    row.reused_ns = (auto_mode ? auto_s : off_s) * 1e9 /
-                    (static_cast<double>(off_cells) * static_cast<double>(reps));
-    row.steady_alloc_calls = steady_allocs;
-    row.steady_growths =
-        auto_mode ? arena_auto.growth_events() - growths_before_auto
-                  : arena_off.growth_events() - growths_before_off;
-    rows.push_back(row);
-  }
-  return auto_s > 0.0 ? off_s / auto_s : 0.0;
+  WallTimer total;
+  do {
+    pass();
+    ++reps;
+  } while (total.seconds() < min_seconds && reps < 4000);
+  const double seconds = total.seconds();
+  Row row;
+  row.family = "mapper";
+  row.layout = "e2e";
+  row.isa = to_string(best_isa());
+  row.mode = "path-16k-unbanded";
+  row.reused_ns =
+      seconds * 1e9 / (static_cast<double>(cells) * static_cast<double>(reps));
+  row.steady_alloc_calls = stats.calls;
+  row.steady_growths = arena.growth_events() - growths_before;
+  rows.push_back(row);
 }
 
 void write_json(const std::vector<Row>& rows, const std::string& path, i32 len) {
@@ -493,7 +433,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   collect(w, min_seconds, rows);
   const double banded_speedup = collect_banded(min_seconds, rows);
-  const double autoband_speedup = collect_autoband_e2e(min_seconds, rows);
+  collect_mapper_e2e(min_seconds, rows);
 
   std::printf("%-9s %-9s %-7s %-11s %10s %10s %10s %8s %7s %7s\n", "family",
               "layout", "isa", "mode", "base ns", "fresh ns", "reuse ns", "speedup",
@@ -538,16 +478,6 @@ int main(int argc, char** argv) {
   if (banded_speedup < 1.5) {
     std::fprintf(stderr, "FAIL: banded 16 kbp run is not beating the full kernel "
                  "(%.2fx < 1.5x)\n", banded_speedup);
-    ++violations;
-  }
-
-  // Auto banding must carry the kernel-level win through the whole mapper:
-  // on 16 kbp noisy reads, end-to-end auto >= 1.5x over band_mode off.
-  std::printf("auto-band e2e speedup on 16 kbp reads (off / auto): %.2fx\n",
-              autoband_speedup);
-  if (autoband_speedup < 1.5) {
-    std::fprintf(stderr, "FAIL: auto banding is not beating unbanded end-to-end "
-                 "(%.2fx < 1.5x)\n", autoband_speedup);
     ++violations;
   }
 

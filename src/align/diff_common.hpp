@@ -41,7 +41,8 @@ inline i32 diag_end(i32 r, i32 tlen) { return r < tlen ? r : tlen - 1; }
 /// band clips [center-band, center+band] to the matrix. Each bound
 /// advances by 0 or 1 per diagonal and the window always contains (0,0)
 /// and the corner, so banded global DP needs no corner widening.
-/// band <= 0 yields the full diagonal [st, en].
+/// band <= 0 yields the full diagonal [st, en]. The bounds are computed in
+/// i64, so any band up to INT32_MAX clips to the matrix instead of wrapping.
 inline void banded_bounds(i32 r, i32 tlen, i32 qlen, i32 band, i32* lo, i32* hi) {
   const i32 st = diag_start(r, qlen);
   const i32 en = diag_end(r, tlen);
@@ -51,9 +52,9 @@ inline void banded_bounds(i32 r, i32 tlen, i32 qlen, i32 band, i32* lo, i32* hi)
     return;
   }
   const i64 den = static_cast<i64>(tlen) + qlen - 2;
-  const i32 tc = den > 0 ? static_cast<i32>(static_cast<i64>(r) * (tlen - 1) / den) : 0;
-  *lo = std::max(st, tc - band);
-  *hi = std::min(en, tc + band);
+  const i64 tc = den > 0 ? static_cast<i64>(r) * (tlen - 1) / den : 0;
+  *lo = static_cast<i32>(std::max<i64>(st, tc - band));
+  *hi = static_cast<i32>(std::min<i64>(en, tc + band));
 }
 
 /// Saturating int8 cast. The SIMD kernels clamp via adds/subs; the scalar

@@ -88,15 +88,6 @@ std::vector<Chain> chain_anchors(const std::vector<Anchor>& anchors, const Chain
     c.rev = members.front().rev;
     c.score = score;
     c.anchors = std::move(members);
-    i64 dmin = Chain::diagonal(c.anchors.front());
-    i64 dmax = dmin;
-    for (std::size_t i = 1; i < c.anchors.size(); ++i) {
-      const i64 d = Chain::diagonal(c.anchors[i]);
-      dmin = std::min(dmin, d);
-      dmax = std::max(dmax, d);
-      c.max_gap_drift = std::max(c.max_gap_drift, c.gap_drift(i));
-    }
-    c.diag_spread = static_cast<u32>(dmax - dmin);
     chains.push_back(std::move(c));
   }
 

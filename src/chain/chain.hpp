@@ -27,25 +27,11 @@ struct Chain {
   u32 rid = 0;
   bool rev = false;
   bool primary = true;
-  // Diagonal geometry, filled by chain_anchors. The diagonal of an anchor
-  // is tpos - qpos; between consecutive anchors the drift |dt - dq| bounds
-  // the net indel imbalance the alignment must absorb inside that gap.
-  u32 max_gap_drift = 0;  ///< max |dt - dq| over consecutive anchor gaps
-  u32 diag_spread = 0;    ///< max diagonal - min diagonal over all anchors
 
   u32 tstart() const { return anchors.front().tpos; }
   u32 tend() const { return anchors.back().tpos; }
   u32 qstart() const { return anchors.front().qpos; }
   u32 qend() const { return anchors.back().qpos; }
-
-  static i64 diagonal(const Anchor& a) {
-    return static_cast<i64>(a.tpos) - static_cast<i64>(a.qpos);
-  }
-  /// |dt - dq| across the gap ending at anchors[i] (i >= 1).
-  u32 gap_drift(std::size_t i) const {
-    const i64 d = diagonal(anchors[i]) - diagonal(anchors[i - 1]);
-    return static_cast<u32>(d < 0 ? -d : d);
-  }
 };
 
 /// Chain sorted anchors; returns chains sorted by score (descending) with

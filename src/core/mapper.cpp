@@ -1,6 +1,7 @@
 #include "core/mapper.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "align/arena.hpp"
 #include "align/banded.hpp"
@@ -19,13 +20,11 @@ void append_cigar(Cigar& total, const Cigar& piece) {
   for (const auto& op : piece.ops()) total.push(op.op, op.len);
 }
 
-/// DP-cell budget for one inter-anchor gap fill; larger gaps take the
-/// advisory banded path (minimap2 would band them too). With auto
-/// banding as the default hot path most fills under the cap run banded
-/// at O(band*len) anyway, so the cap only bounds the unbanded worst case
-/// (off mode, or a band-hit rerun): 2e6 cells is ~0.5 ms. It is sized so
-/// the admission estimate (estimate_dirs_bytes) stays dominated by the
-/// capped end-extension term for typical long reads (< ~19 kbp).
+/// DP-cell budget for one exact inter-anchor gap fill; larger gaps take
+/// the advisory banded path (hugegap_band; minimap2 bands them too). 2e6
+/// cells is ~0.5 ms unbanded. It is sized so the admission estimate
+/// (estimate_dirs_bytes) stays dominated by the capped end-extension term
+/// for typical long reads (< ~19 kbp).
 constexpr u64 kGapCellCap = 2'000'000;
 /// Longest unanchored read end that is extension-aligned; longer tails
 /// are soft-clipped past this (minimap2's z-drop plays the same role).
@@ -42,14 +41,25 @@ struct StitchResult {
 
 }  // namespace
 
+i32 hugegap_band(u64 dt, u64 dq, i32 pinned) {
+  const u64 len = std::min(dt, dq);
+  i64 band = pinned;
+  if (band <= 0) {
+    const i64 drift = static_cast<i64>(dt > dq ? dt - dq : dq - dt);
+    const i64 headroom =
+        static_cast<i64>(std::ceil(4.0 * std::sqrt(0.15 * static_cast<double>(len))));
+    band = std::min<i64>(drift + 16 + headroom, 4096);
+  }
+  // Profitable only if the band keeps under 3/4 of the widest diagonal.
+  if (2.0 * static_cast<double>(band) + 1.0 >= 0.75 * static_cast<double>(len)) return 0;
+  return static_cast<i32>(band);
+}
+
 u64 estimate_dirs_bytes(const MapOptions& opt, u64 read_len) {
   if (read_len == 0) return 0;
   // Worst capped end extension: query up to kExtensionCap, target window
-  // stretched by the end bonus. Banded options shrink every dirs row to
-  // the band width, which dirs_footprint accounts for. Only a fixed band
-  // (opt.band > 0) shrinks the estimate: auto mode keeps the unbanded
-  // bound, since any segment may rerun unbanded on band_hit and the
-  // admission ladder must cover that worst case.
+  // stretched by the end bonus. A band (opt.band > 0) shrinks every dirs
+  // row to the band width, which dirs_footprint accounts for.
   const u64 ext_q = std::min<u64>(read_len, kExtensionCap);
   const u64 ext_t = ext_q + opt.end_bonus_window;
   const u64 ext_fp = detail::KernelArena::dirs_footprint(
@@ -135,27 +145,17 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     return spill.get();
   };
 
-  // Effective banding: a per-call band override (>= 0) pins a fixed band
-  // for the whole call (the service degrade ladder does this), taking
-  // precedence over the options band_mode; otherwise auto derives a band
-  // per segment from chain geometry, fixed uses the static knob, off is
-  // unbanded. Auto keeps zdrop off — zdrop results are advisory (not
-  // rerun on band_hit), and auto must stay bit-identical to unbanded.
-  const BandMode band_mode = call.band >= 0
-                                 ? (call.band > 0 ? BandMode::kFixed : BandMode::kOff)
-                                 : opt_.band_mode;
+  // Effective band: a per-call override (>= 0) pins the band for the
+  // whole call (the service degrade ladder does this); otherwise the
+  // options' static band applies (0 = unbanded).
   const i32 eff_band = call.band >= 0 ? call.band : opt_.band;
   const i32 eff_zdrop = call.zdrop >= 0 ? call.zdrop : opt_.zdrop;
+  u64 banded_kernels = 0;
+  u64 unbanded_kernels = 0;
   u64 band_fallbacks = 0;
-  u64 auto_band_kernels = 0;
-  u64 auto_band_full = 0;
-  u64 auto_band_sum = 0;
 
-  // `band_hint` is the geometry-derived candidate half-width for this
-  // segment (consulted only in auto mode, where it is gated on actually
-  // narrowing the matrix before the kernel runs banded).
   auto run_kernel = [&](const std::vector<u8>& target, const std::vector<u8>& query,
-                        AlignMode mode, i32 band_hint) {
+                        AlignMode mode) {
     DiffArgs a;
     a.target = target.data();
     a.tlen = static_cast<i32>(target.size());
@@ -165,19 +165,9 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     a.mode = mode;
     a.with_cigar = with_cigar;
     a.arena = &arena;
-    if (band_mode == BandMode::kAuto) {
-      a.band = profitable_band(band_hint, target.size(), query.size(), opt_.auto_band);
-      a.zdrop = 0;
-      if (a.band > 0) {
-        ++auto_band_kernels;
-        auto_band_sum += static_cast<u64>(a.band);
-      } else {
-        ++auto_band_full;
-      }
-    } else {
-      a.band = band_mode == BandMode::kFixed ? eff_band : 0;
-      a.zdrop = eff_zdrop;
-    }
+    a.band = eff_band;
+    a.zdrop = eff_zdrop;
+    ++(a.band > 0 ? banded_kernels : unbanded_kernels);
     // Spill config depends on the band (banded dirs rows are O(band), not
     // O(|Q|)), so it is re-derived when the band changes for the rerun.
     auto configure_spill = [&] {
@@ -238,17 +228,6 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     const auto& contig = ref_.contig(chain.rid);
     StitchResult s;
 
-    // Anchors per spanned base — the chain's own estimate of how clean the
-    // read is, consulted by the extension band estimator (clean reads keep
-    // long extensions ledger-provable inside a band; noisy ones do not).
-    // The policy floors the span so a short spurious chain cannot certify
-    // the read as clean and band a doomed long noisy tail.
-    const u64 span = std::max<u64>(
-        {chain.tend() - chain.tstart() + 1,
-         static_cast<u64>(chain.qend()) - chain.qstart() + 1, 1});
-    const double anchor_density =
-        chain_anchor_density(chain.anchors.size(), span, opt_.auto_band);
-
     // --- middle: anchored k-mer + gap fills between consecutive anchors ---
     const Anchor& first = chain.anchors.front();
     s.cigar.push('M', k);  // first anchor's k-mer matches exactly
@@ -263,22 +242,14 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
         // matching k-mer of anchor i -> exact matches.
         s.cigar.push('M', static_cast<u32>(dt));
       } else {
-        // The gap band candidate: measured per-gap diagonal drift (the
-        // net indel imbalance this fill must absorb) plus slack and an
-        // indel-rate headroom — not a global constant.
-        const u32 drift = static_cast<u32>(dt > dq ? dt - dq : static_cast<u64>(dq) - dt);
-        const i32 geo_band = auto_band_for_gap(dt, dq, drift, opt_.auto_band);
         const auto target = ref_.extract(chain.rid, t_cursor, dt);
         const std::vector<u8> query(q.begin() + q_cursor, q.begin() + q_cursor + dq);
-        const i32 gap_band = band_mode == BandMode::kFixed ? eff_band : geo_band;
-        if (dt * dq > kGapCellCap &&
-            profitable_band(gap_band, dt, dq, opt_.auto_band) > 0) {
+        const i32 gap_band = dt * dq > kGapCellCap ? hugegap_band(dt, dq, eff_band) : 0;
+        if (gap_band > 0) {
           // Very large inter-anchor gap (a repeat-masked desert): band the
-          // fill like minimap2 does, O(gap * band) instead of O(dt*dq).
-          // Off and auto modes use the same geometry-derived band so auto
-          // output stays byte-identical to unbanded mapping; an explicit
-          // fixed band keeps overriding it. When the gap geometry exceeds
-          // what a band can exclude, fall through to the normal kernel.
+          // fill like minimap2 does, O(gap * band) instead of O(dt*dq). A
+          // pinned band overrides the drift-derived one. When no band can
+          // exclude enough of the matrix, fall through to the normal kernel.
           BandedArgs ba;
           ba.target = target.data();
           ba.tlen = static_cast<i32>(target.size());
@@ -291,7 +262,7 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
           total_cells += r.cells;
           append_cigar(s.cigar, r.cigar);
         } else {
-          const auto r = run_kernel(target, query, AlignMode::kGlobal, geo_band);
+          const auto r = run_kernel(target, query, AlignMode::kGlobal);
           append_cigar(s.cigar, r.cigar);
         }
       }
@@ -313,9 +284,7 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
       std::vector<u8> target = ref_.extract(chain.rid, kmer_t_start - window, window);
       std::reverse(target.begin(), target.end());
       std::vector<u8> query(q.rend() - kmer_q_start, q.rend() - kmer_q_start + ext);
-      const auto r = run_kernel(
-          target, query, AlignMode::kExtension,
-          auto_band_for_extension(window, ext, anchor_density, opt_.auto_band));
+      const auto r = run_kernel(target, query, AlignMode::kExtension);
       if (r.q_end >= 0) {
         Cigar left = r.cigar;
         left.reverse();
@@ -338,9 +307,7 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
           std::min<u64>(contig.size() - s.t_end, static_cast<u64>(tail) + opt_.end_bonus_window);
       const auto target = ref_.extract(chain.rid, s.t_end, window);
       const std::vector<u8> query(q.begin() + s.q_end, q.begin() + s.q_end + tail);
-      const auto r = run_kernel(
-          target, query, AlignMode::kExtension,
-          auto_band_for_extension(window, tail, anchor_density, opt_.auto_band));
+      const auto r = run_kernel(target, query, AlignMode::kExtension);
       if (r.q_end >= 0) {
         append_cigar(s.cigar, r.cigar);
         s.t_end += static_cast<u64>(r.t_end + 1);
@@ -438,10 +405,9 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     timings->deepest_fallback_rung = std::max(timings->deepest_fallback_rung, deepest_rung);
     timings->streamed_kernels += streamed_kernels;
     timings->dirs_spilled_bytes += detail::dirs_spill_stats().bytes - spilled_before;
+    timings->auto_band_kernels += banded_kernels;
+    timings->auto_band_full += unbanded_kernels;
     timings->band_fallbacks += band_fallbacks;
-    timings->auto_band_kernels += auto_band_kernels;
-    timings->auto_band_full += auto_band_full;
-    timings->auto_band_sum += auto_band_sum;
   }
   return mappings;
 }

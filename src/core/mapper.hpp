@@ -51,26 +51,22 @@ struct MapTimings {
   u32 deepest_fallback_rung = 0;   ///< 0 = dispatched, 1 = scalar, 2 = banded ref
   u64 streamed_kernels = 0;        ///< kernel calls run with streamed dirs
   u64 dirs_spilled_bytes = 0;      ///< direction bytes written to spill sinks
-  u64 band_fallbacks = 0;          ///< banded kernels rerun unbanded on band_hit
-  // Auto-band accounting (band_mode == kAuto): every run_kernel call either
-  // runs with a geometry-selected band (auto_band_kernels, band widths
-  // accumulated in auto_band_sum so mean = sum / kernels) or deliberately
-  // runs full because the band would not pay off (auto_band_full). Of the
-  // banded ones, band_fallbacks counts the band_hit reruns — the observable
-  // miss rate of the estimator.
-  u64 auto_band_kernels = 0;  ///< kernel calls run with an auto-selected band
-  u64 auto_band_full = 0;     ///< auto-mode calls that chose the full kernel
-  u64 auto_band_sum = 0;      ///< sum of auto-selected band half-widths
+  // Banding accounting: every run_kernel call is either a banded attempt
+  // (MapOptions::band or MapCall::band > 0) or an unbanded run, and
+  // band_fallbacks counts the banded attempts rerun unbanded on band_hit.
+  // The first two keep their historical names because perfbench reads them.
+  u64 auto_band_kernels = 0;  ///< kernel calls attempted with a band
+  u64 auto_band_full = 0;     ///< kernel calls run unbanded
+  u64 band_fallbacks = 0;     ///< banded kernels rerun unbanded on band_hit
 
   MapTimings& operator+=(const MapTimings& o) {
     seed_chain_seconds += o.seed_chain_seconds;
     align_seconds += o.align_seconds;
     dp_cells += o.dp_cells;
     kernel_retries += o.kernel_retries;
-    band_fallbacks += o.band_fallbacks;
     auto_band_kernels += o.auto_band_kernels;
     auto_band_full += o.auto_band_full;
-    auto_band_sum += o.auto_band_sum;
+    band_fallbacks += o.band_fallbacks;
     deepest_fallback_rung = deepest_fallback_rung > o.deepest_fallback_rung
                                 ? deepest_fallback_rung
                                 : o.deepest_fallback_rung;
@@ -115,14 +111,23 @@ struct MapCall {
   /// BYPASSES the fallback ladder — the callee owns failure recovery.
   /// Non-owning; must outlive the map() call.
   const std::function<AlignResult(const DiffArgs&)>* kernel_override = nullptr;
-  /// Band half-width / zdrop overrides for this call; -1 inherits the
-  /// MapOptions band_mode/band/zdrop, 0 forces unbanded, N > 0 forces a
-  /// static band — an explicit override takes precedence over auto mode.
-  /// The service degrade ladder uses these to pin narrow bands under
+  /// Band half-width / zdrop overrides for this call; -1 inherits
+  /// MapOptions::band / zdrop, 0 forces unbanded, N > 0 forces a static
+  /// band. The service degrade ladder uses these to pin narrow bands under
   /// memory pressure without rebuilding the shared Mapper.
   i32 band = -1;
   i32 zdrop = -1;
 };
+
+/// Advisory band half-width for an inter-anchor gap fill of dt target x
+/// dq query bases too large for the exact kernels (a repeat-masked desert).
+/// `pinned` > 0 is the caller's fixed band; otherwise the band is the
+/// measured drift |dt - dq| + 16 + ceil(4 * sqrt(0.15 * min(dt, dq))) —
+/// four standard deviations of a 15%-indel random walk — capped at 4096.
+/// Returns 0 when the band would not pay (2b+1 >= 0.75 * min(dt, dq)):
+/// the fill then runs the exact kernel instead. Unlike run_kernel bands,
+/// this fill is not rerun on band_hit, so its answer is advisory.
+i32 hugegap_band(u64 dt, u64 dq, i32 pinned = 0);
 
 /// Pessimistic upper bound on the resident direction-byte footprint one
 /// Mapper::map(read) holds at any instant. Kernels run serially within a

@@ -56,15 +56,9 @@ bool apply_isa_name(MapOptions& opt, std::string_view name) {
 }
 
 bool apply_band_option(MapOptions& opt, std::string_view text) {
-  if (text == "auto") {
-    opt.band_mode = BandMode::kAuto;
-    opt.band = 0;
-    return true;
-  }
   const auto v = parse_int(text);
   if (!v || *v < 0 || *v > INT32_MAX) return false;
   opt.band = static_cast<i32>(*v);
-  opt.band_mode = opt.band > 0 ? BandMode::kFixed : BandMode::kOff;
   return true;
 }
 

@@ -8,7 +8,6 @@
 
 #include "align/kernel_api.hpp"
 #include "chain/chain.hpp"
-#include "core/band_policy.hpp"
 #include "index/minimizer.hpp"
 
 namespace manymap {
@@ -29,19 +28,11 @@ struct MapOptions {
   u32 end_bonus_window = 64;
   /// Report at most this many mappings per read.
   u32 max_mappings = 5;
-  /// How DP kernel bands are chosen (--band auto|N). kAuto (the default)
-  /// derives a per-segment band from chain geometry via `auto_band`;
-  /// kFixed uses the static half-width in `band`; kOff is always
-  /// unbanded. Banded runs are exact whenever the optimum stays in band;
-  /// when a kernel flags band_hit the mapper automatically reruns that
-  /// call unbanded, so results never depend on the band choice — auto
-  /// output is bit-identical to kOff.
-  BandMode band_mode = BandMode::kAuto;
-  /// Static band half-width for the diff/two-piece kernels when
-  /// band_mode == kFixed (0 = unbanded).
+  /// Static band half-width for the diff/two-piece kernels (--band N);
+  /// 0 (the default) is unbanded. A banded run is exact whenever the
+  /// optimum stays in band; when a kernel flags band_hit the mapper reruns
+  /// that call unbanded, so results never depend on the band.
   i32 band = 0;
-  /// Estimator tunables for band_mode == kAuto.
-  AutoBandPolicy auto_band{};
   /// ksw2-style adaptive X-drop threshold (0 = off; only honored when
   /// band > 0). Retires band lanes whose score trails the diagonal best by
   /// more than zdrop, shrinking the live interval below the static band.
@@ -70,11 +61,9 @@ bool apply_layout_name(MapOptions& opt, std::string_view name);
 /// currently selected layout.
 bool apply_isa_name(MapOptions& opt, std::string_view name);
 
-/// Apply a --band value: "auto" selects geometry-driven per-segment bands
-/// (band_mode = kAuto, the default); otherwise a well-formed integer in
-/// [0, INT32_MAX], where 0 explicitly means "unbanded" (kOff) and N > 0 a
-/// static half-width (kFixed). Negative, malformed, or out-of-range text
-/// is a config error (false) — never a clamp.
+/// Apply a --band value: a well-formed integer in [0, INT32_MAX], where 0
+/// means unbanded and N > 0 a static half-width. Negative, malformed, or
+/// out-of-range text is a config error (false) — never a clamp.
 bool apply_band_option(MapOptions& opt, std::string_view text);
 
 /// Apply a --zdrop value: same validation as --band; 0 = adaptive X-drop

@@ -74,9 +74,8 @@ class GpuBatchMapper {
   /// Place one batch from its read-length distribution; counts the
   /// decision in the stats. Thread-safe. `band_hint` is the kernel band
   /// the batch's DP segments will run with (0 = unbanded; the service
-  /// passes the fixed band or the auto-band policy's typical width), so
-  /// banded batches are judged on O(band) device cell estimates and
-  /// offload earlier.
+  /// passes MapOptions::band), so banded batches are judged on O(band)
+  /// device cell estimates and offload earlier.
   PlacementDecision place(const std::vector<u32>& read_lengths, i32 band_hint = 0);
 
   /// Align one DP segment on the device path bound to `stream` (taken

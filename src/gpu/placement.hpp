@@ -13,7 +13,7 @@
 //   5. everything else — long, uniform batches — offloads.
 // Property tests in tests/test_gpu_offload.cpp pin these boundaries.
 //
-// A banded batch (band_hint > 0, from the mapper's fixed or auto band)
+// A banded batch (band_hint > 0, the mapper's MapOptions::band)
 // relaxes rules 3 and 4: device work per segment is O((2b+1) * diagonals)
 // rather than O(|T| * |Q|), so shorter reads already saturate the band's
 // anti-diagonal lanes and length skew only costs linearly (the longest
@@ -69,7 +69,7 @@ struct PlacementDecision {
 /// Decide placement for one batch from its read lengths. Pure function of
 /// (lengths, policy, band_hint); the boundaries are exactly the ordered
 /// rules above. `band_hint` is the kernel band half-width the mapper will
-/// run with (0 = unbanded, the pre-auto behavior).
+/// run with (0 = unbanded).
 PlacementDecision decide_placement(const std::vector<u32>& read_lengths,
                                    const PlacementPolicy& policy, i32 band_hint);
 inline PlacementDecision decide_placement(const std::vector<u32>& read_lengths,

@@ -49,6 +49,7 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.fallback_scalar = fallback_scalar_.load(std::memory_order_relaxed);
   s.fallback_banded = fallback_banded_.load(std::memory_order_relaxed);
   s.kernel_retries = kernel_retries_.load(std::memory_order_relaxed);
+  s.band_fallbacks = band_fallbacks_.load(std::memory_order_relaxed);
   s.verified = verified_.load(std::memory_order_relaxed);
   s.verify_divergences = verify_divergences_.load(std::memory_order_relaxed);
   s.verified_degraded = verified_degraded_.load(std::memory_order_relaxed);
@@ -62,16 +63,6 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.warming_rejections = warming_rejections_.load(std::memory_order_relaxed);
   s.index_checksum_bytes_verified =
       index_checksum_bytes_verified_.load(std::memory_order_relaxed);
-  s.auto_band_kernels = auto_band_kernels_.load(std::memory_order_relaxed);
-  s.auto_band_full = auto_band_full_.load(std::memory_order_relaxed);
-  s.auto_band_sum = auto_band_sum_.load(std::memory_order_relaxed);
-  s.band_fallbacks = band_fallbacks_.load(std::memory_order_relaxed);
-  if (s.auto_band_kernels > 0) {
-    const double kernels = static_cast<double>(s.auto_band_kernels);
-    s.band_fallback_rate = static_cast<double>(s.band_fallbacks) / kernels;
-    s.auto_band_hit_rate = 1.0 - s.band_fallback_rate;
-    s.mean_auto_band = static_cast<double>(s.auto_band_sum) / kernels;
-  }
   s.gpu_offload_batches = gpu_offload_batches_.load(std::memory_order_relaxed);
   s.gpu_cpu_batches = gpu_cpu_batches_.load(std::memory_order_relaxed);
   s.gpu_requests = gpu_requests_.load(std::memory_order_relaxed);
@@ -109,7 +100,8 @@ std::string MetricsSnapshot::report() const {
                 "  latency_ms mean=%.3f p50=%.3f p99=%.3f (compute mean=%.3f)\n"
                 "  robustness stalls=%llu respawns=%llu breaker_opened=%llu "
                 "degraded_now=%d degraded_responses=%llu\n"
-                "  fallback   scalar=%llu banded=%llu kernel_retries=%llu\n"
+                "  fallback   scalar=%llu banded=%llu kernel_retries=%llu "
+                "band_fallbacks=%llu\n"
                 "  memory     streamed=%llu score_only=%llu spilled_bytes=%llu "
                 "redirects=%llu arena_trims=%llu\n"
                 "  verify     sampled=%llu divergences=%llu degraded=%llu\n",
@@ -130,6 +122,7 @@ std::string MetricsSnapshot::report() const {
                 static_cast<unsigned long long>(fallback_scalar),
                 static_cast<unsigned long long>(fallback_banded),
                 static_cast<unsigned long long>(kernel_retries),
+                static_cast<unsigned long long>(band_fallbacks),
                 static_cast<unsigned long long>(streamed_responses),
                 static_cast<unsigned long long>(mem_score_only),
                 static_cast<unsigned long long>(dirs_spilled_bytes),
@@ -149,16 +142,6 @@ std::string MetricsSnapshot::report() const {
                   static_cast<unsigned long long>(index_reload_failures),
                   static_cast<unsigned long long>(warming_rejections),
                   static_cast<unsigned long long>(index_checksum_bytes_verified));
-    out += buf;
-  }
-  if (auto_band_kernels + auto_band_full > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "  banding    auto_kernels=%llu full=%llu mean_band=%.1f "
-                  "hit_rate=%.4f fallback_rate=%.4f fallbacks=%llu\n",
-                  static_cast<unsigned long long>(auto_band_kernels),
-                  static_cast<unsigned long long>(auto_band_full), mean_auto_band,
-                  auto_band_hit_rate, band_fallback_rate,
-                  static_cast<unsigned long long>(band_fallbacks));
     out += buf;
   }
   if (gpu_offload_batches + gpu_cpu_batches + gpu_requests > 0) {

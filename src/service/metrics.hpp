@@ -43,6 +43,7 @@ struct MetricsSnapshot {
   u64 fallback_scalar = 0;      ///< requests answered by the scalar rung
   u64 fallback_banded = 0;      ///< requests answered by the banded-reference rung
   u64 kernel_retries = 0;       ///< failed kernel attempts absorbed by the ladder
+  u64 band_fallbacks = 0;       ///< banded kernels rerun unbanded on band_hit
   u64 verified = 0;             ///< live responses replayed through the oracle
   u64 verify_divergences = 0;   ///< oracle disagreements among those
   u64 verified_degraded = 0;    ///< audits of degraded (streamed/score-only) answers
@@ -57,20 +58,6 @@ struct MetricsSnapshot {
   u64 index_reload_failures = 0;  ///< load attempts rejected (corrupt/mismatched/missing)
   u64 warming_rejections = 0;     ///< requests answered kIndexWarming during warm-up
   u64 index_checksum_bytes_verified = 0;  ///< section bytes checksummed across loads
-  // Banding effectiveness (geometry-driven auto bands vs the degrade
-  // rung's pinned band): per-kernel counters aggregated over kOk answers.
-  u64 auto_band_kernels = 0;    ///< kernels run with an auto-selected band
-  u64 auto_band_full = 0;       ///< auto-mode kernels that chose full width
-  u64 auto_band_sum = 0;        ///< sum of auto-selected band half-widths
-  u64 band_fallbacks = 0;       ///< banded kernels rerun unbanded on band_hit
-  /// Share of banded kernel attempts whose band held (no band_hit rerun).
-  double auto_band_hit_rate = 0.0;
-  /// Share of banded kernel attempts rerun unbanded (the estimator miss
-  /// rate; the autoband fuzzer enforces a ceiling on the same quantity).
-  double band_fallback_rate = 0.0;
-  /// Mean auto-selected band half-width — directly comparable with the
-  /// memory ladder's pinned `degrade_band` rung.
-  double mean_auto_band = 0.0;
   // Device offload (placement decisions, staging, occupancy); populated
   // only when the service runs with GPU offload enabled.
   u64 gpu_offload_batches = 0;  ///< batches the placement policy sent to the device
@@ -124,11 +111,14 @@ class ServiceMetrics {
     if (now_degraded) breaker_opened_.fetch_add(1, std::memory_order_relaxed);
     degraded_now_.store(now_degraded, std::memory_order_relaxed);
   }
-  /// Fallback-ladder accounting for one served request.
-  void on_fallback(u32 deepest_rung, u64 retries) {
+  /// Fallback accounting for one served request: the kernel ladder's
+  /// deepest rung and retries, plus band_hit reruns (from its MapTimings).
+  void on_fallback(u32 deepest_rung, u64 retries, u64 band_fallbacks) {
     if (deepest_rung >= 2) fallback_banded_.fetch_add(1, std::memory_order_relaxed);
     else if (deepest_rung == 1) fallback_scalar_.fetch_add(1, std::memory_order_relaxed);
     if (retries) kernel_retries_.fetch_add(retries, std::memory_order_relaxed);
+    if (band_fallbacks)
+      band_fallbacks_.fetch_add(band_fallbacks, std::memory_order_relaxed);
   }
   void on_verified(bool diverged) {
     verified_.fetch_add(1, std::memory_order_relaxed);
@@ -143,13 +133,6 @@ class ServiceMetrics {
     if (spilled_bytes) dirs_spilled_bytes_.fetch_add(spilled_bytes, std::memory_order_relaxed);
   }
   void on_mem_score_only() { mem_score_only_.fetch_add(1, std::memory_order_relaxed); }
-  /// Banding accounting for one served request (from its MapTimings).
-  void on_banding(u64 auto_kernels, u64 auto_full, u64 auto_sum, u64 fallbacks) {
-    if (auto_kernels) auto_band_kernels_.fetch_add(auto_kernels, std::memory_order_relaxed);
-    if (auto_full) auto_band_full_.fetch_add(auto_full, std::memory_order_relaxed);
-    if (auto_sum) auto_band_sum_.fetch_add(auto_sum, std::memory_order_relaxed);
-    if (fallbacks) band_fallbacks_.fetch_add(fallbacks, std::memory_order_relaxed);
-  }
   void on_budget_redirect() { budget_redirects_.fetch_add(1, std::memory_order_relaxed); }
   void on_arena_trim() { arena_trims_.fetch_add(1, std::memory_order_relaxed); }
   /// Index durability accounting (async warm-up and hot reload).
@@ -200,13 +183,12 @@ class ServiceMetrics {
   std::atomic<u64> breaker_opened_{0}, degraded_responses_{0};
   std::atomic<bool> degraded_now_{false};
   std::atomic<u64> fallback_scalar_{0}, fallback_banded_{0}, kernel_retries_{0};
+  std::atomic<u64> band_fallbacks_{0};
   std::atomic<u64> verified_{0}, verify_divergences_{0}, verified_degraded_{0};
   std::atomic<u64> streamed_responses_{0}, mem_score_only_{0}, dirs_spilled_bytes_{0};
   std::atomic<u64> budget_redirects_{0}, arena_trims_{0};
   std::atomic<u64> index_reloads_{0}, index_reload_failures_{0};
   std::atomic<u64> warming_rejections_{0}, index_checksum_bytes_verified_{0};
-  std::atomic<u64> auto_band_kernels_{0}, auto_band_full_{0}, auto_band_sum_{0};
-  std::atomic<u64> band_fallbacks_{0};
   std::atomic<u64> gpu_offload_batches_{0}, gpu_cpu_batches_{0}, gpu_requests_{0};
   std::atomic<u64> gpu_device_kernels_{0}, gpu_host_segments_{0};
   std::atomic<u64> gpu_staged_bytes_{0}, gpu_stage_fallbacks_{0};

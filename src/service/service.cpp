@@ -421,9 +421,8 @@ void AlignmentService::account(const PendingRequest& p, const MapResponse& resp)
     case RequestStatus::kOk:
       metrics_.on_completed(ms_since(p.enqueued, std::chrono::steady_clock::now()),
                             resp.compute_ms);
-      metrics_.on_fallback(resp.timings.deepest_fallback_rung, resp.timings.kernel_retries);
-      metrics_.on_banding(resp.timings.auto_band_kernels, resp.timings.auto_band_full,
-                          resp.timings.auto_band_sum, resp.timings.band_fallbacks);
+      metrics_.on_fallback(resp.timings.deepest_fallback_rung, resp.timings.kernel_retries,
+                           resp.timings.band_fallbacks);
       if (resp.degraded) metrics_.on_degraded_response();
       if (resp.degrade == DegradeLevel::kStreamedDirs)
         metrics_.on_streamed_response(resp.timings.dirs_spilled_bytes);
@@ -538,19 +537,9 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
       std::vector<u32> lens;
       lens.reserve(batch->items.size());
       for (const auto& p : batch->items) lens.push_back(static_cast<u32>(p.req.read.size()));
-      // Band hint: banded batches cost O(band) device cells per diagonal
-      // and offload earlier. Fixed mode pins the knob; auto mode forecasts
-      // the policy's typical width for the batch's mean read length (the
-      // exact per-segment bands are chosen later, per gap/extension).
-      i32 band_hint = 0;
-      if (cfg_.map.band_mode == BandMode::kFixed) {
-        band_hint = cfg_.map.band;
-      } else if (cfg_.map.band_mode == BandMode::kAuto && !lens.empty()) {
-        u64 total = 0;
-        for (const u32 l : lens) total += l;
-        band_hint = auto_band_typical(total / lens.size(), cfg_.map.auto_band);
-      }
-      if (gpu_->place(lens, band_hint).offload) {
+      // Banded batches cost O(band) device cells per diagonal and offload
+      // earlier.
+      if (gpu_->place(lens, cfg_.map.band).offload) {
         gpu_ctx.mapper = gpu_.get();
         gpu_ctx.stream = gpu_stream;
         gpu_serve = &gpu_ctx;

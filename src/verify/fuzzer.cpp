@@ -4,20 +4,14 @@
 #include <cstdarg>
 #include <cstdio>
 #include <iterator>
-#include <limits>
-
 #include <memory>
 
 #include "align/arena.hpp"
 #include "align/dirs_spill.hpp"
 #include "align/reference_dp.hpp"
-#include "core/mapper.hpp"
-#include "core/options.hpp"
 #include "gpu/batch_mapper.hpp"
 #include "sequence/dna.hpp"
 #include "simt/kernels.hpp"
-#include "simulate/genome.hpp"
-#include "simulate/read_sim.hpp"
 
 namespace manymap {
 namespace verify {
@@ -740,176 +734,6 @@ SweepStats run_gpu_sweep(const GpuSweepOptions& opt,
   std::sort(stats.combos.begin(), stats.combos.end(),
             [](const ComboStats& a, const ComboStats& b) { return a.name < b.name; });
   return stats;
-}
-
-namespace {
-
-bool autoband_mappings_equal(const Mapping& a, const Mapping& b) {
-  return a.qstart == b.qstart && a.qend == b.qend && a.rev == b.rev && a.rid == b.rid &&
-         a.tstart == b.tstart && a.tend == b.tend && a.score == b.score &&
-         a.chain_score == b.chain_score && a.mapq == b.mapq && a.primary == b.primary &&
-         a.matches == b.matches && a.align_length == b.align_length && a.cigar == b.cigar;
-}
-
-/// First field-level difference between two mapping lists; empty when they
-/// are bit-identical.
-std::string autoband_diff(const std::vector<Mapping>& got, const std::vector<Mapping>& want) {
-  if (got.size() != want.size())
-    return fmt_failure("%zu mappings vs %zu unbanded", got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (autoband_mappings_equal(got[i], want[i])) continue;
-    const Mapping& g = got[i];
-    const Mapping& w = want[i];
-    return fmt_failure(
-        "mapping %zu differs: t[%llu,%llu) q[%u,%u) score=%lld cigar=%s vs "
-        "t[%llu,%llu) q[%u,%u) score=%lld cigar=%s",
-        i, static_cast<unsigned long long>(g.tstart), static_cast<unsigned long long>(g.tend),
-        g.qstart, g.qend, static_cast<long long>(g.score),
-        g.cigar.empty() ? "-" : g.cigar.to_string().c_str(),
-        static_cast<unsigned long long>(w.tstart), static_cast<unsigned long long>(w.tend),
-        w.qstart, w.qend, static_cast<long long>(w.score),
-        w.cigar.empty() ? "-" : w.cigar.to_string().c_str());
-  }
-  return {};
-}
-
-}  // namespace
-
-AutoBandSweepResult run_autoband_sweep(
-    const AutoBandOptions& opt,
-    const std::function<void(const Divergence&)>& on_divergence) {
-  AutoBandSweepResult res;
-  ComboStats identity{"autoband/identity", 0, 0};
-  ComboStats counters{"autoband/counters", 0, 0};
-  ComboStats hostile{"autoband/hostile", 0, 0};
-  ComboStats rate{"autoband/fallback-rate", 0, 0};
-  auto report = [&](ComboStats& combo, u64 seed, std::string failure) {
-    ++combo.divergences;
-    Divergence d;
-    d.seed = seed;
-    d.failure = std::move(failure);
-    res.stats.divergences.push_back(std::move(d));
-    if (on_divergence) on_divergence(res.stats.divergences.back());
-  };
-
-  for (u64 s = 0; s < opt.seeds; ++s) {
-    const u64 seed = opt.first_seed + s;
-    XorShift rng(seed * 0x51ed2701a0b3c2e5ULL + 17);
-
-    GenomeParams gp;
-    gp.total_length = 24'000 + rng.below(24'001);
-    gp.num_contigs = 1 + static_cast<u32>(rng.below(2));
-    gp.seed = seed * 77 + 3;
-    gp.repeat_families = 2;  // scaled to tens-of-kbp genomes, as in e2e
-    gp.repeat_copies = 4;
-    gp.repeat_length = 300;
-    const Reference ref = generate_genome(gp);
-
-    const MapOptions base = rng.chance(1, 2) ? MapOptions::map_pb() : MapOptions::map_ont();
-    MapOptions opt_off = base;
-    opt_off.band_mode = BandMode::kOff;
-    MapOptions opt_auto = base;
-    opt_auto.band_mode = BandMode::kAuto;
-
-    ReadSimParams rp;
-    rp.num_reads = opt.reads_per_seed;
-    rp.seed = seed * 131 + 7;
-    rp.profile = rng.chance(1, 2) ? ErrorProfile::pacbio() : ErrorProfile::nanopore();
-    rp.profile.max_length = std::min(rp.profile.max_length, opt.read_max_len);
-    rp.profile.min_length = std::min(rp.profile.min_length, rp.profile.max_length);
-    ReadSimulator sim(ref, rp);
-    const auto reads = sim.simulate();
-
-    const MinimizerIndex index = MinimizerIndex::build(ref, base.sketch);
-    const Mapper mapper_off(ref, index, opt_off);
-    const Mapper mapper_auto(ref, index, opt_auto);
-    const bool hostile_seed = opt.hostile_every > 0 && s % opt.hostile_every == 0;
-    std::unique_ptr<Mapper> mapper_hostile, mapper_hostile_off;
-    if (hostile_seed) {
-      MapOptions opt_h = base;
-      opt_h.band_mode = BandMode::kAuto;
-      // A worst-case estimator: 1-wide bands with zero indel headroom. On
-      // real indel-noised reads the optimum leaves this band constantly —
-      // every escape must be counted and rerun, never silently wrong.
-      opt_h.auto_band.slack = 1;
-      opt_h.auto_band.indel_frac = 0.0;
-      opt_h.auto_band.indel_sd_mult = 0.0;
-      opt_h.auto_band.ext_bias_frac = 0.0;
-      opt_h.auto_band.ext_band_max_len = std::numeric_limits<i32>::max();
-      mapper_hostile = std::make_unique<Mapper>(ref, index, opt_h);
-      // The off-mode baseline must share the hostile policy knobs: the
-      // huge-gap advisory band (banded_global_align, no rerun contract)
-      // is derived from the SAME policy in off and auto modes — that is
-      // what makes auto ≡ off hold — so comparing across two different
-      // policies would diverge there by design, not by bug.
-      MapOptions opt_h_off = opt_h;
-      opt_h_off.band_mode = BandMode::kOff;
-      mapper_hostile_off = std::make_unique<Mapper>(ref, index, opt_h_off);
-    }
-
-    for (const auto& sr : reads) {
-      ++res.stats.cases_run;
-      ++identity.cases;
-      MapTimings t_off, t_auto;
-      const auto m_off = mapper_off.map(sr.read, &t_off);
-      const auto m_auto = mapper_auto.map(sr.read, &t_auto);
-      std::string diff = autoband_diff(m_auto, m_off);
-      if (!diff.empty())
-        report(identity, seed,
-               fmt_failure("seed %llu read %s auto vs off: %s",
-                           static_cast<unsigned long long>(seed), sr.read.name.c_str(),
-                           diff.c_str()));
-
-      ++counters.cases;
-      if (t_off.auto_band_kernels + t_off.auto_band_full + t_off.auto_band_sum +
-              t_off.band_fallbacks >
-          0)
-        report(counters, seed, "off-mode map reported auto-band/fallback counters");
-      if (t_auto.band_fallbacks > t_auto.auto_band_kernels)
-        report(counters, seed,
-               fmt_failure("band_fallbacks=%llu exceeds banded attempts=%llu",
-                           static_cast<unsigned long long>(t_auto.band_fallbacks),
-                           static_cast<unsigned long long>(t_auto.auto_band_kernels)));
-      if ((t_auto.auto_band_kernels == 0) != (t_auto.auto_band_sum == 0))
-        report(counters, seed, "auto_band_sum inconsistent with auto_band_kernels");
-      res.auto_band_kernels += t_auto.auto_band_kernels;
-      res.auto_band_full += t_auto.auto_band_full;
-      res.auto_band_sum += t_auto.auto_band_sum;
-      res.band_fallbacks += t_auto.band_fallbacks;
-
-      if (hostile_seed) {
-        ++hostile.cases;
-        MapTimings t_h;
-        const auto m_h = mapper_hostile->map(sr.read, &t_h);
-        const auto m_h_off = mapper_hostile_off->map(sr.read);
-        diff = autoband_diff(m_h, m_h_off);
-        if (!diff.empty())
-          report(hostile, seed,
-                 fmt_failure("seed %llu read %s hostile-band vs off: %s",
-                             static_cast<unsigned long long>(seed), sr.read.name.c_str(),
-                             diff.c_str()));
-        res.hostile_fallbacks += t_h.band_fallbacks;
-      }
-    }
-  }
-
-  if (res.auto_band_kernels > 0)
-    res.fallback_rate = static_cast<double>(res.band_fallbacks) /
-                        static_cast<double>(res.auto_band_kernels);
-  ++rate.cases;
-  if (res.auto_band_kernels > 0 && res.fallback_rate > opt.max_fallback_rate)
-    report(rate, opt.first_seed,
-           fmt_failure("fallback rate %.4f exceeds ceiling %.4f (%llu/%llu)",
-                       res.fallback_rate, opt.max_fallback_rate,
-                       static_cast<unsigned long long>(res.band_fallbacks),
-                       static_cast<unsigned long long>(res.auto_band_kernels)));
-  if (hostile.cases > 0 && res.hostile_fallbacks == 0)
-    report(hostile, opt.first_seed,
-           "hostile 1-wide band policy produced zero band_fallbacks — "
-           "escapes are not being counted");
-
-  res.stats.combos = {identity, counters, hostile, rate};
-  return res;
 }
 
 }  // namespace verify

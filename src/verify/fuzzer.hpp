@@ -118,22 +118,6 @@ struct LongReadOptions {
   u64 file_spill_every = 8;
 };
 
-/// Options for the auto-band mapper sweep (run_autoband_sweep).
-struct AutoBandOptions {
-  u64 seeds = 64;
-  u64 first_seed = 1;
-  /// Simulated long reads mapped per seed-derived genome.
-  u32 reads_per_seed = 3;
-  u32 read_max_len = 8000;
-  /// Sweep-level ceiling on band_fallbacks / auto_band_kernels under the
-  /// default policy; exceeding it is reported as a divergence.
-  double max_fallback_rate = 0.02;
-  /// Every Nth seed additionally maps with a hostile 1-wide band policy,
-  /// asserting the fallback contract under a deliberately wrong estimator:
-  /// results stay bit-identical and the reruns land in band_fallbacks.
-  u64 hostile_every = 4;
-};
-
 /// Options for the device-agreement sweep (run_gpu_sweep).
 struct GpuSweepOptions {
   u64 seeds = 48;
@@ -202,30 +186,6 @@ SweepStats run_longread_sweep(
 /// are minimized against check_gpu_case when opt.minimize is set.
 SweepStats run_gpu_sweep(const GpuSweepOptions& opt,
                          const std::function<void(const Divergence&)>& on_divergence = {});
-
-/// Aggregate result of the auto-band sweep: the pass/fail stats plus the
-/// counter totals the fallback-rate ceiling is judged on.
-struct AutoBandSweepResult {
-  SweepStats stats;
-  u64 auto_band_kernels = 0;  ///< banded kernel attempts (default policy)
-  u64 auto_band_full = 0;     ///< auto-mode kernels that ran full width
-  u64 auto_band_sum = 0;      ///< sum of selected bands (default policy)
-  u64 band_fallbacks = 0;     ///< band_hit reruns (default policy)
-  u64 hostile_fallbacks = 0;  ///< band_hit reruns under the hostile policy
-  double fallback_rate = 0.0; ///< band_fallbacks / auto_band_kernels
-};
-
-/// Auto-band mapper contract sweep: each seed generates a small genome and
-/// simulated long reads, then maps every read twice through the real
-/// Mapper — band_mode off vs auto — and requires bit-identical mapping
-/// lists (every field, CIGAR included). Counter consistency is asserted
-/// (banded attempts and fallbacks are counted, never silent), a hostile
-/// undersized-band policy periodically proves the fallback contract under
-/// estimator failure, and the default policy's cumulative fallback rate
-/// must stay under max_fallback_rate.
-AutoBandSweepResult run_autoband_sweep(
-    const AutoBandOptions& opt,
-    const std::function<void(const Divergence&)>& on_divergence = {});
 
 /// Greedy shrink: chunked trims of both sequences from both ends, then
 /// base-to-'A' simplification, keeping every step that still fails the

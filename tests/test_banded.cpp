@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdlib>
+
 #include "align/arena.hpp"
 #include "align/banded.hpp"
 #include "align/reference_dp.hpp"
@@ -7,9 +11,11 @@
 #include "base/random.hpp"
 #include "core/mapper.hpp"
 #include "core/options.hpp"
+#include "core/paf.hpp"
 #include "core/sam.hpp"
 #include "sequence/dna.hpp"
 #include "simulate/genome.hpp"
+#include "simulate/read_sim.hpp"
 
 namespace manymap {
 namespace {
@@ -32,13 +38,14 @@ BandedArgs make_banded(const std::vector<u8>& t, const std::vector<u8>& q, i32 b
   return a;
 }
 
-DiffArgs make_full(const std::vector<u8>& t, const std::vector<u8>& q, bool cigar) {
+DiffArgs make_full(const std::vector<u8>& t, const std::vector<u8>& q, bool cigar,
+                   AlignMode mode = AlignMode::kGlobal) {
   DiffArgs a;
   a.target = t.data();
   a.tlen = static_cast<i32>(t.size());
   a.query = q.data();
   a.qlen = static_cast<i32>(q.size());
-  a.mode = AlignMode::kGlobal;
+  a.mode = mode;
   a.with_cigar = cigar;
   return a;
 }
@@ -165,8 +172,8 @@ TEST(Banded, SingleRowTargetCoversTheWholeQuery) {
 // --- banded production kernels (diff / two-piece) ---
 
 DiffArgs make_diff(const std::vector<u8>& t, const std::vector<u8>& q, bool cigar,
-                   i32 band, i32 zdrop) {
-  DiffArgs a = make_full(t, q, cigar);
+                   i32 band, i32 zdrop, AlignMode mode = AlignMode::kGlobal) {
+  DiffArgs a = make_full(t, q, cigar, mode);
   a.band = band;
   a.zdrop = zdrop;
   return a;
@@ -175,26 +182,31 @@ DiffArgs make_diff(const std::vector<u8>& t, const std::vector<u8>& q, bool ciga
 TEST(BandedKernel, UnflaggedRunsAreBitExactAcrossIsas) {
   // Related pair (substitutions only): a 64-lane band covers the optimum,
   // so no backend may flag band_hit and every banded result must equal its
-  // own unbanded run bit-for-bit, tie-breaks included.
+  // own unbanded run bit-for-bit, tie-breaks included. INT32_MAX is the
+  // largest band --band accepts: it covers the whole matrix, so its bounds
+  // must clip to the matrix rather than overflow.
   Rng rng(17);
   const auto t = random_seq(rng, 240);
   auto q = t;
   for (auto& b : q)
     if (rng.bernoulli(0.12)) b = rng.base();
-  for (const Layout layout : {Layout::kMinimap2, Layout::kManymap})
-    for (const Isa isa : available_isas())
-      for (const bool cigar : {false, true}) {
-        const KernelFn k = get_diff_kernel(layout, isa);
-        if (k == nullptr) continue;
-        const AlignResult full = k(make_diff(t, q, cigar, 0, 0));
-        const AlignResult banded = k(make_diff(t, q, cigar, 64, 0));
-        ASSERT_FALSE(banded.band_hit)
-            << to_string(layout) << "/" << to_string(isa) << (cigar ? "/path" : "/score");
-        EXPECT_EQ(banded.score, full.score);
-        EXPECT_EQ(banded.t_end, full.t_end);
-        EXPECT_EQ(banded.q_end, full.q_end);
-        EXPECT_EQ(banded.cigar.to_string(), full.cigar.to_string());
-      }
+  for (const AlignMode mode : {AlignMode::kGlobal, AlignMode::kExtension})
+    for (const i32 band : {64, INT32_MAX})
+      for (const Layout layout : {Layout::kMinimap2, Layout::kManymap})
+        for (const Isa isa : available_isas())
+          for (const bool cigar : {false, true}) {
+            const KernelFn k = get_diff_kernel(layout, isa);
+            if (k == nullptr) continue;
+            const AlignResult full = k(make_diff(t, q, cigar, 0, 0, mode));
+            const AlignResult banded = k(make_diff(t, q, cigar, band, 0, mode));
+            ASSERT_FALSE(banded.band_hit)
+                << to_string(layout) << "/" << to_string(isa) << (cigar ? "/path" : "/score")
+                << (mode == AlignMode::kGlobal ? "/global" : "/extension") << "/band " << band;
+            EXPECT_EQ(banded.score, full.score);
+            EXPECT_EQ(banded.t_end, full.t_end);
+            EXPECT_EQ(banded.q_end, full.q_end);
+            EXPECT_EQ(banded.cigar.to_string(), full.cigar.to_string());
+          }
 }
 
 TEST(BandedKernel, NarrowBandOnSteepPairFlagsTheEscape) {
@@ -285,7 +297,7 @@ TEST(BandOptions, StrictParsingNeverClamps) {
   EXPECT_EQ(opt.band, 251);
   EXPECT_TRUE(apply_band_option(opt, "0"));  // explicit "unbanded"
   EXPECT_EQ(opt.band, 0);
-  for (const char* bad : {"-1", "64x", "", "band", "9999999999999"}) {
+  for (const char* bad : {"-1", "64x", "", "band", "auto", "9999999999999"}) {
     MapOptions scratch;
     EXPECT_FALSE(apply_band_option(scratch, bad)) << bad;
     EXPECT_FALSE(apply_zdrop_option(scratch, bad)) << bad;
@@ -313,6 +325,159 @@ TEST(BandOptions, EstimateIsU64EndToEnd) {
   // must produce a >4 GiB estimate instead of wrapping modulo 2^32.
   MapOptions opt;
   EXPECT_GT(estimate_dirs_bytes(opt, u64{3'000'000'000}), u64{1} << 32);
+}
+
+// --- huge-gap advisory band (hugegap_band) ---
+
+TEST(BandPolicy, HeadroomGrowsSublinearly) {
+  // On a drift-free gap the band is 16 + indel headroom.
+  const i32 h1 = hugegap_band(1'000, 1'000) - 16;
+  const i32 h4 = hugegap_band(4'000, 4'000) - 16;
+  EXPECT_GT(h1, 0);
+  EXPECT_GT(h4, h1);          // monotone in length
+  EXPECT_LE(h4, 2 * h1 + 1);  // sqrt law: 4x length -> ~2x headroom
+}
+
+TEST(BandPolicy, GapBandAlwaysCoversDriftPlusSlack) {
+  Rng rng(7);
+  int banded = 0;
+  for (int it = 0; it < 200; ++it) {
+    const u64 dt = 1'500 + rng.uniform(60'000);
+    const u64 dq = dt - dt / 8 + rng.uniform(dt / 4);
+    const i32 drift = static_cast<i32>(dt > dq ? dt - dq : dq - dt);
+    const i32 band = hugegap_band(dt, dq);
+    if (band == 0) continue;  // unprofitable: the exact kernel runs instead
+    ++banded;
+    if (band < 4096) {
+      EXPECT_GE(band, drift + 16) << dt << "x" << dq;
+    }
+    EXPECT_LE(band, 4096);
+  }
+  EXPECT_GT(banded, 100);
+}
+
+// Walk a synthetic alignment path with 15% balanced indels and require the
+// huge-gap band to cover the walk's maximum deviation from the band's
+// center line (the straight line the measured drift pins).
+TEST(BandPolicy, GapBandCoversSyntheticIndelWalkDeviation) {
+  Rng rng(42);
+  int banded = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const u32 steps = 200 + static_cast<u32>(rng.uniform(4'000));
+    u64 dt = 0, dq = 0;
+    std::vector<i64> diag{0};
+    for (u32 i = 0; i < steps; ++i) {
+      const u32 r = static_cast<u32>(rng.uniform(1'000));
+      if (r < 75) ++dt;
+      else if (r < 150) ++dq;
+      else { ++dt; ++dq; }
+      diag.push_back(static_cast<i64>(dt) - static_cast<i64>(dq));
+    }
+    if (dt == 0 || dq == 0) continue;
+    const i64 net = static_cast<i64>(dt) - static_cast<i64>(dq);
+    // Max |walk - straight chord| in diagonal units.
+    i64 deviation = 0;
+    for (std::size_t k = 0; k < diag.size(); ++k) {
+      const i64 chord = net * static_cast<i64>(k) / static_cast<i64>(diag.size() - 1);
+      deviation = std::max<i64>(deviation, std::abs(diag[k] - chord));
+    }
+    const i32 band = hugegap_band(dt, dq);
+    if (band == 0) continue;  // unprofitable: the exact kernel runs instead
+    ++banded;
+    EXPECT_GE(static_cast<i64>(band), deviation)
+        << "trial " << trial << " dt=" << dt << " dq=" << dq;
+  }
+  EXPECT_GT(banded, 100);
+}
+
+TEST(BandPolicy, ProfitabilityBoundary) {
+  // 2*b+1 lanes vs 0.75 * min(dt, dq): a 1000-cell diagonal lets pinned
+  // bands up to 374 pay off (749 < 750); 375 does not (751 >= 750).
+  EXPECT_EQ(hugegap_band(2'000, 1'000, 374), 374);
+  EXPECT_EQ(hugegap_band(2'000, 1'000, 375), 0);
+  // Unpinned, the 1000-base drift alone makes the band unprofitable.
+  EXPECT_EQ(hugegap_band(2'000, 1'000), 0);
+  EXPECT_EQ(hugegap_band(2'000, 1'000, -3), 0);
+  // A huge pinned band never pays and never overflows.
+  EXPECT_EQ(hugegap_band(100'000, 100'000, INT32_MAX), 0);
+}
+
+// --- fixed-band rerun contract through the whole mapper ---
+// The AutoBandMapper suite name predates the removal of `--band auto`;
+// the two contracts it pins now hold for the one fixed band setting.
+
+struct PinnedBandCase {
+  Reference ref;
+  std::vector<SimulatedRead> reads;
+};
+
+// 30 kbp genome, 4 PacBio reads of at most 4 kbp.
+PinnedBandCase pinned_band_case(u64 seed) {
+  GenomeParams gp;
+  gp.total_length = 30'000;
+  gp.num_contigs = 1;
+  gp.seed = seed;
+  PinnedBandCase c{generate_genome(gp), {}};
+  ReadSimParams rp;
+  rp.num_reads = 4;
+  rp.seed = seed * 13 + 1;
+  rp.profile = ErrorProfile::pacbio();
+  rp.profile.max_length = 4'000;
+  c.reads = ReadSimulator(c.ref, rp).simulate();
+  return c;
+}
+
+// Keep every gap fill under the huge-gap cap: that advisory fill takes a
+// pinned band by design, so it is the one place a band may matter.
+MapOptions pinned_band_options() {
+  MapOptions opt = MapOptions::map_pb();
+  opt.chain.max_dist = 1'000;
+  return opt;
+}
+
+TEST(AutoBandMapper, HostilePolicyFallsBackLoudlyNotWrongly) {
+  for (const u64 seed : {101u, 202u, 303u}) {
+    const PinnedBandCase c = pinned_band_case(seed);
+    ASSERT_FALSE(c.reads.empty());
+    const Mapper m(c.ref, pinned_band_options());
+
+    MapTimings t;
+    MapCall narrow;  // 1-wide pinned band: on 15%-error reads it escapes
+    narrow.band = 1;
+    narrow.timings = &t;
+    for (const auto& sr : c.reads)
+      EXPECT_EQ(to_paf_block(m.map(sr.read, narrow), true),
+                to_paf_block(m.map(sr.read), true))
+          << "seed " << seed << " " << sr.read.name;
+    // Escapes surface as counted reruns, never as silent divergence.
+    EXPECT_GT(t.auto_band_kernels, 0u) << "seed " << seed;
+    EXPECT_GT(t.band_fallbacks, 0u) << "seed " << seed;
+    EXPECT_LE(t.band_fallbacks, t.auto_band_kernels);
+    EXPECT_EQ(t.auto_band_full, 0u);
+  }
+}
+
+TEST(AutoBandMapper, ExplicitCallBandOverridesAutoMode) {
+  for (const u64 seed : {101u, 202u, 303u}) {
+    const PinnedBandCase c = pinned_band_case(seed);
+    ASSERT_FALSE(c.reads.empty());
+    MapOptions opt = pinned_band_options();
+    const Mapper unbanded(c.ref, opt);
+    opt.band = 64;
+    const Mapper banded(c.ref, opt);
+
+    MapTimings t;
+    MapCall off;  // explicit 0 overrides MapOptions::band = 64
+    off.band = 0;
+    off.timings = &t;
+    for (const auto& sr : c.reads)
+      EXPECT_EQ(to_paf_block(banded.map(sr.read, off), true),
+                to_paf_block(unbanded.map(sr.read), true))
+          << "seed " << seed << " " << sr.read.name;
+    EXPECT_EQ(t.auto_band_kernels, 0u) << "seed " << seed;
+    EXPECT_EQ(t.band_fallbacks, 0u);
+    EXPECT_GT(t.auto_band_full, 0u);
+  }
 }
 
 // --- SAM output ---

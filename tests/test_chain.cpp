@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "chain/chain.hpp"
 #include "simulate/genome.hpp"
 
@@ -140,6 +143,32 @@ TEST(Chain, ToleratesSmallIndelOffsets) {
   const auto chains = chain_anchors(anchors, params());
   ASSERT_EQ(chains.size(), 1u);
   EXPECT_EQ(chains[0].anchors.size(), 10u);
+}
+
+// Regression: the chain DP look-back terminates on dt > max_dist (valid:
+// anchors are sorted by tpos) but must NOT terminate on dq > max_dist —
+// qpos is not monotone in that order. A stray anchor (e.g. a repeat hit
+// that slipped past the occ mask) sitting at a nearby tpos but far-away
+// qpos used to hide every predecessor beyond it and split the chain at
+// an otherwise perfectly jumpable gap.
+TEST(ChainGeometry, StrayAnchorDoesNotSplitChainAtJumpableGap) {
+  std::vector<Anchor> anchors;
+  // Two colinear groups on diagonal +1000, separated by a 900-base gap
+  // (well under max_dist = 5000).
+  for (u32 i = 0; i < 20; ++i) anchors.push_back(mk(6000 + i * 10 + 1000, 6000 + i * 10));
+  for (u32 i = 0; i < 20; ++i) anchors.push_back(mk(7090 + i * 10 + 1000, 7090 + i * 10));
+  // Stray: tpos just before the second group (dt = 50 from its first
+  // anchor), qpos near the read start (dq > max_dist).
+  anchors.push_back(mk(8040, 10));
+  std::sort(anchors.begin(), anchors.end(), [](const Anchor& a, const Anchor& b) {
+    return std::tie(a.rid, a.rev, a.tpos, a.qpos) < std::tie(b.rid, b.rev, b.tpos, b.qpos);
+  });
+  const auto chains = chain_anchors(anchors, ChainParams{});
+  ASSERT_FALSE(chains.empty());
+  EXPECT_EQ(chains.front().anchors.size(), 40u)
+      << "gap-adjacent groups must chain through the stray anchor";
+  EXPECT_EQ(chains.front().qstart(), 6000u);
+  EXPECT_EQ(chains.front().qend(), 7280u);
 }
 
 }  // namespace

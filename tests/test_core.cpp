@@ -293,6 +293,20 @@ TEST(Breakdown, InstrumentedRunCoversAllStages) {
   std::remove(query_path.c_str());
 }
 
+TEST(MapTimings, AccumulatesAutoBandCounters) {
+  MapTimings a, b;
+  a.auto_band_kernels = 3;
+  a.auto_band_full = 1;
+  a.band_fallbacks = 2;
+  b.auto_band_kernels = 5;
+  b.auto_band_full = 4;
+  b.band_fallbacks = 1;
+  a += b;
+  EXPECT_EQ(a.auto_band_kernels, 8u);
+  EXPECT_EQ(a.auto_band_full, 5u);
+  EXPECT_EQ(a.band_fallbacks, 3u);
+}
+
 TEST(Options, CliNameHelpers) {
   EXPECT_FALSE(preset_by_name("map-hifi").has_value());
   const auto pb = preset_by_name("map-pb");

@@ -126,6 +126,40 @@ TEST(Placement, DecisionCarriesDistributionStats) {
   EXPECT_DOUBLE_EQ(d.length_cv, 0.5);  // population stddev 1000 / mean 2000
 }
 
+TEST(BandedPlacement, BandHintRelaxesShortReadFloor) {
+  PlacementPolicy policy;  // min_mean 1000, banded factor 0.5
+  const auto lens = uniform_lengths(8, 600);
+  const auto unbanded = decide_placement(lens, policy);
+  EXPECT_FALSE(unbanded.offload);
+  EXPECT_EQ(unbanded.reason, PlacementReason::kShortReads);
+  const auto banded = decide_placement(lens, policy, 100);
+  EXPECT_TRUE(banded.offload);
+  EXPECT_TRUE(banded.banded);
+  // 500-599 still under the halved floor even banded.
+  EXPECT_FALSE(decide_placement(uniform_lengths(8, 499), policy, 100).offload);
+}
+
+TEST(BandedPlacement, WideHintDoesNotRelax) {
+  PlacementPolicy policy;
+  const auto lens = uniform_lengths(8, 600);
+  // 2*300+1 = 601 >= mean 600: the band does not narrow these reads, so
+  // the unbanded boundaries stay in force.
+  const auto d = decide_placement(lens, policy, 300);
+  EXPECT_FALSE(d.offload);
+  EXPECT_FALSE(d.banded);
+  EXPECT_EQ(d.reason, PlacementReason::kShortReads);
+}
+
+TEST(BandedPlacement, BandedCellEstimateIsLinearInBand) {
+  PlacementPolicy policy;
+  const auto lens = uniform_lengths(4, 8'000);
+  const auto full = decide_placement(lens, policy);
+  const auto banded = decide_placement(lens, policy, 100);
+  EXPECT_EQ(full.est_cells, 4ull * 8'000 * 8'000);
+  EXPECT_EQ(banded.est_cells, 4ull * 8'000 * 201);
+  EXPECT_LT(banded.est_cells, full.est_cells);
+}
+
 // ---------------------------------------------------------------------------
 // StagingArea: per-stream bump partitions with one-shot release.
 

@@ -11,7 +11,7 @@
 //   --cigar                      include cg:Z: tags in PAF
 //   --layout minimap2|manymap    DP memory layout (default manymap)
 //   --isa scalar|sse2|avx2|avx512  kernel ISA (default widest available)
-//   --band auto|B               kernel band: auto (default; per-segment geometry) or fixed half-width (0 = unbanded)
+//   --band B                     kernel band half-width (default 0 = unbanded)
 //   --zdrop Z                    adaptive X-drop threshold (0 = off)
 //   --threads N                  compute threads (default 2)
 //   --pipeline minimap2|manymap  batch pipeline (default manymap)
@@ -138,7 +138,7 @@ int cmd_map(const ArgList& args) {
   if (!isa.empty())
     MM_REQUIRE(apply_isa_name(opt, isa), "bad --isa or ISA unavailable on this CPU");
   if (args.has("band") && !apply_band_option(opt, args.get("band", ""))) {
-    std::fprintf(stderr, "manymap: --band needs 'auto' or an integer >= 0 (0 = unbanded), got '%s'\n",
+    std::fprintf(stderr, "manymap: --band needs an integer >= 0 (0 = unbanded), got '%s'\n",
                  args.get("band", "").c_str());
     return usage();
   }
@@ -225,7 +225,7 @@ int usage() {
                "  manymap map <ref.fa> <reads.fq> [--preset map-pb|map-ont] [--sam]\n"
                "              [--cigar] [--layout minimap2|manymap] [--isa sse2|avx2|avx512]\n"
                "              [--threads N] [--pipeline minimap2|manymap] [--index f.mmi]\n"
-               "              [--band auto|B (auto = per-segment geometry, 0 = unbanded)] [--zdrop Z (0 = off)]\n"
+               "              [--band B (0 = unbanded)] [--zdrop Z (0 = off)]\n"
                "  manymap simulate <out_ref.fa> <out_reads.fq> [--length N] [--reads N]\n"
                "              [--platform pacbio|nanopore] [--seed S]\n");
   return 2;

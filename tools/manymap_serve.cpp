@@ -12,7 +12,7 @@
 //   --seed S               trace seed (default 42)
 // Service config:
 //   --preset map-pb|map-ont  --layout minimap2|manymap  --isa <name>
-//   --band auto|B         kernel band: auto (default; per-segment geometry) or fixed half-width (0 = unbanded)
+//   --band B               kernel band half-width (default 0 = unbanded)
 //   --zdrop Z              adaptive X-drop threshold (0 = off)
 //   --workers N            worker threads per shard (default 4)
 //   --shards N             worker shards (default 1)
@@ -159,7 +159,7 @@ int usage() {
                "  [--admission block|reject] [--verify] [--verify-sample N] [--paf]\n"
                "  [--mem-budget-mb M] [--gpu] [--gpu-streams N]\n"
                "  [--index-save PATH] [--index-load PATH] [--index-verify PATH]\n"
-               "  [--band auto|B (auto = per-segment geometry, 0 = unbanded)] [--zdrop Z (0 = off)]\n"
+               "  [--band B (0 = unbanded)] [--zdrop Z (0 = off)]\n"
                "numeric options must be positive integers (--deadline-ms/--rate accept 0 =\n"
                "disabled); --batch-delay-us is how long a partial batch lingers for more\n"
                "requests while no worker is idle (default 0 = no linger);\n"
@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
   if (args.has("isa"))
     MM_REQUIRE(apply_isa_name(cfg.map, args.get("isa", "")), "bad --isa or unavailable");
   if (args.has("band") && !apply_band_option(cfg.map, args.get("band", ""))) {
-    std::fprintf(stderr, "manymap_serve: --band needs 'auto' or an integer >= 0 (0 = unbanded), got '%s'\n",
+    std::fprintf(stderr, "manymap_serve: --band needs an integer >= 0 (0 = unbanded), got '%s'\n",
                  args.get("band", "").c_str());
     return usage();
   }

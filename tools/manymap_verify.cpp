@@ -8,7 +8,7 @@
 //   --seeds N        fuzz seeds to sweep (default 256)
 //   --first-seed S   first seed (default 1; seeds are S..S+N-1)
 //   --family F       diff|twopiece|simt|banded|bandfull|longread|gpu|e2e|
-//                    autoband|corruptidx|all (default all); `bandfull` sweeps the
+//                    corruptidx|all (default all); `bandfull` sweeps the
 //                    banded kernel variants through the auto-full-fallback
 //                    contract against the unbanded reference; `longread`
 //                    sweeps the dirs streaming path end-to-end; `gpu`
@@ -17,8 +17,8 @@
 //                    sweeps whole serving scenarios — worker counts,
 //                    shuffled orders, the degradation ladder and armed
 //                    fault plans — through the end-to-end determinism
-//                    contract (verify/e2e.hpp); `autoband` sweeps the
-//                    geometry-driven band selection mapper contract
+//                    contract (verify/e2e.hpp); `corruptidx` fuzzes index
+//                    persistence against corrupted files
 //   --no-minimize    report divergences without shrinking them
 //   --out DIR        write a minimized .repro file per divergence to DIR
 //   --quiet          suppress the per-combo table
@@ -45,7 +45,7 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: manymap_verify [--seeds N] [--first-seed S]\n"
-               "                      [--family diff|twopiece|simt|banded|bandfull|longread|gpu|e2e|autoband|corruptidx|all]\n"
+               "                      [--family diff|twopiece|simt|banded|bandfull|longread|gpu|e2e|corruptidx|all]\n"
                "                      [--no-minimize] [--out DIR] [--quiet]\n"
                "       manymap_verify --smoke-longread N [--smoke-budget-mb M]\n"
                "       manymap_verify [--family gpu] --repro FILE [FILE...]\n"
@@ -66,10 +66,6 @@ void usage() {
                "streamed / banded / score-only / gpu), and chaos composition under\n"
                "live-oracle auditing. --repro replays v2 (kind e2e) files through\n"
                "the same contract; v1 kernel repros replay unchanged.\n"
-               "--family autoband maps seed-derived long-read traces with\n"
-               "band_mode auto vs off and requires bit-identical mappings,\n"
-               "counted (never silent) fallbacks — including under a hostile\n"
-               "1-wide band policy — and a <2%% estimator fallback rate.\n"
                "--family corruptidx fuzzes the MMMI index persistence layer:\n"
                "each seed serializes a seed-derived index, applies one corruption\n"
                "(truncation, bit flips, hostile counts, stale version, damaged\n"
@@ -212,7 +208,6 @@ int main(int argc, char** argv) {
   bool family_longread = false;
   bool family_gpu = false;
   bool family_e2e = false;
-  bool family_autoband = false;
   bool family_corruptidx = false;
   i64 smoke_len = 0;
   i64 smoke_budget_mb = 48;
@@ -252,7 +247,6 @@ int main(int argc, char** argv) {
       else if (std::strcmp(v, "longread") == 0) family_longread = true;
       else if (std::strcmp(v, "gpu") == 0) family_gpu = true;
       else if (std::strcmp(v, "e2e") == 0) family_e2e = true;
-      else if (std::strcmp(v, "autoband") == 0) family_autoband = true;
       else if (std::strcmp(v, "corruptidx") == 0) family_corruptidx = true;
       else if (std::strcmp(v, "all") == 0)
         opt.family_diff = opt.family_twopiece = opt.family_simt = opt.family_banded =
@@ -369,26 +363,7 @@ int main(int argc, char** argv) {
                 stats.divergences.size());
     return stats.divergences.empty() ? 0 : 1;
   }
-  if (family_autoband) {
-    verify::AutoBandOptions ab;
-    ab.seeds = opt.seeds;
-    ab.first_seed = opt.first_seed;
-    const verify::AutoBandSweepResult res = verify::run_autoband_sweep(ab, on_divergence);
-    stats = res.stats;
-    const u64 attempts = res.auto_band_kernels + res.auto_band_full;
-    std::printf(
-        "autoband: %llu banded kernels (+%llu full), mean band %.1f, "
-        "fallbacks %llu (rate %.4f, ceiling %.4f), hostile fallbacks %llu\n",
-        static_cast<unsigned long long>(res.auto_band_kernels),
-        static_cast<unsigned long long>(res.auto_band_full),
-        res.auto_band_kernels ? static_cast<double>(res.auto_band_sum) /
-                                    static_cast<double>(res.auto_band_kernels)
-                              : 0.0,
-        static_cast<unsigned long long>(res.band_fallbacks), res.fallback_rate,
-        ab.max_fallback_rate, static_cast<unsigned long long>(res.hostile_fallbacks));
-    if (attempts == 0)
-      std::fprintf(stderr, "autoband: warning — sweep exercised no kernels\n");
-  } else if (family_longread) {
+  if (family_longread) {
     verify::LongReadOptions lr;
     lr.seeds = opt.seeds;
     lr.first_seed = opt.first_seed;
