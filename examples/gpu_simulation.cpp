@@ -63,7 +63,8 @@ int main() {
     if (r.score <= 0) std::printf("unexpected non-positive score!\n");
 
   // End-to-end offloaded mapping (§4.2): host seeds/chains/stitches, the
-  // device runs the DP segments; results match the CPU mapper exactly.
+  // device runs the DP score passes and the host completes the paths;
+  // results match the CPU mapper exactly.
   GenomeParams gp;
   gp.total_length = 100'000;
   gp.num_contigs = 1;
@@ -75,11 +76,11 @@ int main() {
   const auto sim = ReadSimulator(ref, rp).simulate();
   std::vector<Sequence> reads;
   for (const auto& r : sim) reads.push_back(r.read);
-  const auto mapped = gpu_map_reads(ref, MapOptions::map_pb(), reads, device);
+  const auto mapped = gpu_map_reads(ref, MapOptions::map_pb(), reads);
   u64 ok = 0;
   for (const auto& ms : mapped.mappings) ok += !ms.empty();
   std::printf("offloaded mapping: %llu/%zu reads mapped; %llu GPU kernels + %llu host\n"
-              "segments; simulated device align time %.3f ms at concurrency %u\n",
+              "segments; simulated device score-pass time %.3f ms at concurrency %u\n",
               static_cast<unsigned long long>(ok), reads.size(),
               static_cast<unsigned long long>(mapped.gpu_kernels),
               static_cast<unsigned long long>(mapped.cpu_segments),

@@ -186,7 +186,6 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     auto dispatch = [&]() -> AlignResult {
       if (call.kernel_override != nullptr && *call.kernel_override)
         return (*call.kernel_override)(a);
-      if (opt_.kernel_override) return opt_.kernel_override(a);
       FallbackOutcome fo;
       AlignResult r = align_with_fallback(a, kernel, opt_.layout, &fo);
       kernel_retries += fo.failed_attempts;

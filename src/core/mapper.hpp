@@ -5,6 +5,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -104,12 +105,11 @@ struct MapCall {
   /// resident dirs stay within the budget while finished blocks spill to
   /// an in-memory or temp-file sink. 0 keeps the fully resident path.
   u64 dirs_budget_bytes = 0;
-  /// Per-call kernel override, taking precedence over
-  /// MapOptions::kernel_override: the service's device-offload path routes
-  /// one call's DP segments through the simulated GPU while the shared
-  /// Mapper stays CPU-configured. Like the options-level override it
-  /// BYPASSES the fallback ladder — the callee owns failure recovery.
-  /// Non-owning; must outlive the map() call.
+  /// Per-call kernel override: the device-offload paths (the service and
+  /// gpu_map_reads) route one call's DP segments through the simulated GPU
+  /// while the shared Mapper stays CPU-configured. It BYPASSES the
+  /// fallback ladder — the callee owns failure recovery and must return
+  /// bit-identical results. Non-owning; must outlive the map() call.
   const std::function<AlignResult(const DiffArgs&)>* kernel_override = nullptr;
   /// Band half-width / zdrop overrides for this call; -1 inherits
   /// MapOptions::band / zdrop, 0 forces unbanded, N > 0 forces a static

@@ -2,7 +2,6 @@
 // used in the paper's macro benchmarks (§5.1.3).
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string_view>
 
@@ -37,11 +36,6 @@ struct MapOptions {
   /// band > 0). Retires band lanes whose score trails the diagonal best by
   /// more than zdrop, shrinking the live interval below the static band.
   i32 zdrop = 0;
-  /// When set, base-level alignment calls route through this function
-  /// instead of the CPU kernel — the hook the GPU offload path (§4.2)
-  /// uses to dispatch DP segments to the device while the host runs
-  /// seeding/chaining/stitching. Must return bit-identical results.
-  std::function<AlignResult(const DiffArgs&)> kernel_override;
 
   static MapOptions map_pb();
   static MapOptions map_ont();

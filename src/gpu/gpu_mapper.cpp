@@ -1,42 +1,32 @@
 #include "gpu/gpu_mapper.hpp"
 
-#include "base/timer.hpp"
-
 namespace manymap {
 
 GpuMapReport gpu_map_reads(const Reference& reference, const MapOptions& options,
-                           const std::vector<Sequence>& reads, const simt::Device& device,
-                           const GpuMapConfig& config) {
+                           const std::vector<Sequence>& reads,
+                           const gpu::GpuBatchConfig& config) {
   GpuMapReport report;
-  WallTimer wall;
-
-  std::vector<simt::KernelCost> costs;
-  MapOptions opt = options;
-  const KernelFn cpu_kernel = get_diff_kernel(opt.layout, opt.isa);
-  MM_REQUIRE(cpu_kernel != nullptr, "configured CPU kernel unavailable");
-
-  // Route every DP segment through the device model; the interpreter
-  // executes the same recurrence, so stitching sees identical results.
-  opt.kernel_override = [&](const DiffArgs& a) -> AlignResult {
-    const u64 cells = static_cast<u64>(a.tlen) * static_cast<u64>(a.qlen);
-    if (cells < config.min_gpu_cells) {
+  gpu::GpuBatchMapper offload(config);
+  // Every DP segment goes through the batch mapper; a segment counts as a
+  // device kernel only when its score pass ran there, so host path
+  // completion is not counted as a host segment.
+  const std::function<AlignResult(const DiffArgs&)> kernel = [&](const DiffArgs& a) {
+    gpu::GpuBatchMapper::SegmentResult seg = offload.align_segment(a, /*stream=*/0);
+    if (seg.on_device) {
+      ++report.gpu_kernels;
+      report.gpu_cells += static_cast<u64>(a.tlen) * static_cast<u64>(a.qlen);
+    } else {
       ++report.cpu_segments;
-      report.cpu_cells += cells;
-      return cpu_kernel(a);
     }
-    auto gpu = simt::gpu_align(a, config.layout, device.spec(), config.threads_per_block);
-    ++report.gpu_kernels;
-    report.gpu_cells += cells;
-    costs.push_back(gpu.cost);
-    return std::move(gpu.result);
+    return std::move(seg.result);
   };
-
-  const Mapper mapper(reference, opt);
+  MapCall call;
+  call.kernel_override = &kernel;
+  const Mapper mapper(reference, options);
   report.mappings.reserve(reads.size());
-  for (const auto& read : reads) report.mappings.push_back(mapper.map(read));
-  report.host_seconds = wall.seconds();
+  for (const auto& read : reads) report.mappings.push_back(mapper.map(read, call));
 
-  const auto run = device.run(costs, config.num_streams);
+  const simt::Device::RunReport run = offload.flush();
   report.device_seconds = run.seconds;
   report.achieved_concurrency = run.achieved_concurrency;
   return report;

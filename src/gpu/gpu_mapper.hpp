@@ -1,44 +1,35 @@
 // GPU-offloaded mapping (paper §4.2 / Fig. 1 right column): the host runs
 // seeding, chaining and CIGAR stitching while every base-level DP segment
-// large enough to amortize a kernel launch is dispatched to the device
-// model as a CUDA kernel in its own stream. Results are bit-identical to
-// the CPU path (asserted by tests); the device's simulated execution time
-// is what the Figure 11 "GPU" bar measures.
+// goes through the offload subsystem (gpu::GpuBatchMapper) — segments
+// large enough to amortize a kernel launch run their score pass on the
+// device model, and path completion stays on the host. Results are
+// bit-identical to the CPU path (asserted by tests); the device's
+// simulated time for the score passes is what the Figure 11 "GPU" bar
+// measures.
 #pragma once
 
 #include <vector>
 
 #include "core/mapper.hpp"
-#include "simt/device.hpp"
-#include "simt/kernels.hpp"
+#include "gpu/batch_mapper.hpp"
 
 namespace manymap {
 
-struct GpuMapConfig {
-  Layout layout = Layout::kManymap;
-  u32 threads_per_block = 512;
-  u32 num_streams = 128;
-  /// DP segments below this many cells stay on the CPU: a kernel launch
-  /// would cost more than the work (the host-side small-task cutoff).
-  u64 min_gpu_cells = 10'000;
-};
-
 struct GpuMapReport {
   std::vector<std::vector<Mapping>> mappings;  ///< per read, best-first
-  u64 gpu_kernels = 0;
-  u64 cpu_segments = 0;          ///< small segments kept on the host
-  u64 gpu_cells = 0;
-  u64 cpu_cells = 0;
-  double device_seconds = 0.0;   ///< simulated device time (align stage)
-  double host_seconds = 0.0;     ///< measured wall time of the whole run
+  u64 gpu_kernels = 0;           ///< segments whose score pass ran on the device
+  u64 cpu_segments = 0;          ///< segments answered on the host (cutoff/fallback)
+  u64 gpu_cells = 0;             ///< DP cells of the device segments
+  double device_seconds = 0.0;   ///< simulated device time (score passes)
   u32 achieved_concurrency = 0;
 };
 
-/// Map reads with the align stage offloaded. `reference` and `options`
-/// describe the same mapping job a plain Mapper would run — only the
-/// kernel dispatch differs.
+/// Map reads with the align stage offloaded through one GpuBatchMapper
+/// built from `config` (cutoff, streams, device spec). `reference` and
+/// `options` describe the same mapping job a plain Mapper would run — only
+/// the kernel dispatch differs.
 GpuMapReport gpu_map_reads(const Reference& reference, const MapOptions& options,
-                           const std::vector<Sequence>& reads, const simt::Device& device,
-                           const GpuMapConfig& config = {});
+                           const std::vector<Sequence>& reads,
+                           const gpu::GpuBatchConfig& config = {});
 
 }  // namespace manymap

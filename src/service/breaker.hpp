@@ -5,7 +5,8 @@
 // the breaker opens and the service degrades to score-only alignment
 // (no base-level CIGAR pass — the most expensive stage) until `cooldown`
 // has elapsed, then closes and retries full service. Sustained failure
-// keeps re-opening it. All transitions are visible in ServiceMetrics.
+// keeps re-opening it. ServiceMetrics reads times_opened() and open_at()
+// whenever a snapshot is taken, so the metrics never lag the breaker.
 #pragma once
 
 #include <chrono>
@@ -49,6 +50,14 @@ class CircuitBreaker {
       failures_.clear();  // a clean slate for the retry
     }
     return open_;
+  }
+
+  /// Read-only view for metrics: open and still inside its cooldown. A
+  /// breaker whose cooldown has run out reads closed even before the next
+  /// degraded() call resets it.
+  bool open_at(std::chrono::steady_clock::time_point now) const {
+    std::lock_guard lock(mu_);
+    return open_ && now - opened_at_ < cfg_.cooldown;
   }
 
   u64 times_opened() const {

@@ -1,13 +1,47 @@
 #include "service/metrics.hpp"
 
+#include <chrono>
 #include <cstdio>
+#include <type_traits>
 
 #include "base/stats.hpp"
+#include "gpu/batch_mapper.hpp"
+#include "service/breaker.hpp"
 
 namespace manymap {
 
+namespace {
+
+/// Report line labels, indexed by MetricGroup.
+constexpr const char* kGroupNames[] = {"requests", "batching", "ingress",  "latency", "robustness",
+                                       "fallback", "memory",   "verify",   "index",   "gpu"};
+static_assert(std::size(kGroupNames) == static_cast<std::size_t>(MetricGroup::kGpu) + 1);
+
+/// Report lines wrap before this column.
+constexpr std::size_t kReportWidth = 100;
+
+constexpr bool stored(MetricKind k) {
+  return k == MetricKind::kCounter || k == MetricKind::kGauge || k == MetricKind::kPeak;
+}
+
+template <MetricKind kind, typename T>
+void load_row(T& field, const std::atomic<u64>& cell) {
+  static_assert(!stored(kind) || std::is_same_v<T, u64>, "stored rows are u64");
+  if constexpr (stored(kind)) field = cell.load(std::memory_order_relaxed);
+}
+
+std::string format_value(u64 v) { return std::to_string(v); }
+std::string format_value(bool v) { return v ? "1" : "0"; }
+std::string format_value(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+}  // namespace
+
 void ServiceMetrics::on_completed(double latency_ms, double compute_ms) {
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  add<Metric::completed>();
   std::lock_guard lock(mu_);
   if (latencies_ms_.size() < kReservoirCapacity) {
     latencies_ms_.push_back(latency_ms);
@@ -19,62 +53,31 @@ void ServiceMetrics::on_completed(double latency_ms, double compute_ms) {
   }
 }
 
-void ServiceMetrics::record_queue_depth(std::size_t depth) {
-  queue_depth_last_.store(depth, std::memory_order_relaxed);
-  u64 peak = queue_depth_peak_.load(std::memory_order_relaxed);
-  while (depth > peak &&
-         !queue_depth_peak_.compare_exchange_weak(peak, depth, std::memory_order_relaxed)) {
-  }
-}
-
 MetricsSnapshot ServiceMetrics::snapshot() const {
   MetricsSnapshot s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.timed_out = timed_out_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  s.queue_depth_last = queue_depth_last_.load(std::memory_order_relaxed);
-  s.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
+#define MM_METRIC_LOAD(name, type, kind, group, doc) \
+  load_row<MetricKind::kind>(s.name, cells_[static_cast<u32>(Metric::name)]);
+  MANYMAP_SERVICE_METRICS(MM_METRIC_LOAD)
+#undef MM_METRIC_LOAD
   s.mean_batch_size =
       s.batches ? static_cast<double>(s.batched_requests) / static_cast<double>(s.batches) : 0.0;
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.worker_stalls = worker_stalls_.load(std::memory_order_relaxed);
-  s.worker_respawns = worker_respawns_.load(std::memory_order_relaxed);
-  s.breaker_opened = breaker_opened_.load(std::memory_order_relaxed);
-  s.degraded_now = degraded_now_.load(std::memory_order_relaxed);
-  s.degraded_responses = degraded_responses_.load(std::memory_order_relaxed);
-  s.fallback_scalar = fallback_scalar_.load(std::memory_order_relaxed);
-  s.fallback_banded = fallback_banded_.load(std::memory_order_relaxed);
-  s.kernel_retries = kernel_retries_.load(std::memory_order_relaxed);
-  s.band_fallbacks = band_fallbacks_.load(std::memory_order_relaxed);
-  s.verified = verified_.load(std::memory_order_relaxed);
-  s.verify_divergences = verify_divergences_.load(std::memory_order_relaxed);
-  s.verified_degraded = verified_degraded_.load(std::memory_order_relaxed);
-  s.streamed_responses = streamed_responses_.load(std::memory_order_relaxed);
-  s.mem_score_only = mem_score_only_.load(std::memory_order_relaxed);
-  s.dirs_spilled_bytes = dirs_spilled_bytes_.load(std::memory_order_relaxed);
-  s.budget_redirects = budget_redirects_.load(std::memory_order_relaxed);
-  s.arena_trims = arena_trims_.load(std::memory_order_relaxed);
-  s.index_reloads = index_reloads_.load(std::memory_order_relaxed);
-  s.index_reload_failures = index_reload_failures_.load(std::memory_order_relaxed);
-  s.warming_rejections = warming_rejections_.load(std::memory_order_relaxed);
-  s.index_checksum_bytes_verified =
-      index_checksum_bytes_verified_.load(std::memory_order_relaxed);
-  s.gpu_offload_batches = gpu_offload_batches_.load(std::memory_order_relaxed);
-  s.gpu_cpu_batches = gpu_cpu_batches_.load(std::memory_order_relaxed);
-  s.gpu_requests = gpu_requests_.load(std::memory_order_relaxed);
-  s.gpu_device_kernels = gpu_device_kernels_.load(std::memory_order_relaxed);
-  s.gpu_host_segments = gpu_host_segments_.load(std::memory_order_relaxed);
-  s.gpu_staged_bytes = gpu_staged_bytes_.load(std::memory_order_relaxed);
-  s.gpu_stage_fallbacks = gpu_stage_fallbacks_.load(std::memory_order_relaxed);
-  s.gpu_launch_failures = gpu_launch_failures_.load(std::memory_order_relaxed);
-  s.gpu_requeued_batches = gpu_requeued_batches_.load(std::memory_order_relaxed);
-  s.gpu_device_seconds = gpu_device_seconds_.load(std::memory_order_relaxed);
-  s.gpu_occupancy = gpu_occupancy_.load(std::memory_order_relaxed);
-  s.gpu_stream_utilization = gpu_stream_utilization_.load(std::memory_order_relaxed);
+  if (breaker_ != nullptr) {
+    s.breaker_opened = breaker_->times_opened();
+    s.degraded_now = breaker_->open_at(std::chrono::steady_clock::now());
+  }
+  if (gpu_ != nullptr) {
+    const gpu::GpuBatchStats g = gpu_->stats();
+    s.gpu_offload_batches = g.offload_batches;
+    s.gpu_cpu_batches = g.cpu_batches;
+    s.gpu_device_kernels = g.device_kernels;
+    s.gpu_host_segments = g.host_segments;
+    s.gpu_staged_bytes = g.staged_bytes;
+    s.gpu_stage_fallbacks = g.stage_fallbacks;
+    s.gpu_launch_failures = g.launch_failures;
+    s.gpu_device_seconds = g.occupancy.device_seconds;
+    s.gpu_occupancy = g.occupancy.occupancy();
+    s.gpu_stream_utilization = g.occupancy.stream_utilization();
+  }
   std::lock_guard lock(mu_);
   if (!latencies_ms_.empty()) {
     s.latency_ms_mean = summarize(latencies_ms_).mean;
@@ -90,78 +93,33 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
 }
 
 std::string MetricsSnapshot::report() const {
-  char buf[2560];
-  std::snprintf(buf, sizeof(buf),
-                "service metrics\n"
-                "  requests   submitted=%llu accepted=%llu completed=%llu "
-                "rejected=%llu timed_out=%llu failed=%llu\n"
-                "  batching   batches=%llu mean_batch_size=%.2f\n"
-                "  ingress    depth_last=%llu depth_peak=%llu\n"
-                "  latency_ms mean=%.3f p50=%.3f p99=%.3f (compute mean=%.3f)\n"
-                "  robustness stalls=%llu respawns=%llu breaker_opened=%llu "
-                "degraded_now=%d degraded_responses=%llu\n"
-                "  fallback   scalar=%llu banded=%llu kernel_retries=%llu "
-                "band_fallbacks=%llu\n"
-                "  memory     streamed=%llu score_only=%llu spilled_bytes=%llu "
-                "redirects=%llu arena_trims=%llu\n"
-                "  verify     sampled=%llu divergences=%llu degraded=%llu\n",
-                static_cast<unsigned long long>(submitted),
-                static_cast<unsigned long long>(accepted),
-                static_cast<unsigned long long>(completed),
-                static_cast<unsigned long long>(rejected),
-                static_cast<unsigned long long>(timed_out),
-                static_cast<unsigned long long>(failed),
-                static_cast<unsigned long long>(batches), mean_batch_size,
-                static_cast<unsigned long long>(queue_depth_last),
-                static_cast<unsigned long long>(queue_depth_peak), latency_ms_mean,
-                latency_ms_p50, latency_ms_p99, compute_ms_mean,
-                static_cast<unsigned long long>(worker_stalls),
-                static_cast<unsigned long long>(worker_respawns),
-                static_cast<unsigned long long>(breaker_opened), degraded_now ? 1 : 0,
-                static_cast<unsigned long long>(degraded_responses),
-                static_cast<unsigned long long>(fallback_scalar),
-                static_cast<unsigned long long>(fallback_banded),
-                static_cast<unsigned long long>(kernel_retries),
-                static_cast<unsigned long long>(band_fallbacks),
-                static_cast<unsigned long long>(streamed_responses),
-                static_cast<unsigned long long>(mem_score_only),
-                static_cast<unsigned long long>(dirs_spilled_bytes),
-                static_cast<unsigned long long>(budget_redirects),
-                static_cast<unsigned long long>(arena_trims),
-                static_cast<unsigned long long>(verified),
-                static_cast<unsigned long long>(verify_divergences),
-                static_cast<unsigned long long>(verified_degraded));
-  std::string out = buf;
-  if (index_reloads + index_reload_failures + warming_rejections +
-          index_checksum_bytes_verified >
-      0) {
-    std::snprintf(buf, sizeof(buf),
-                  "  index      reloads=%llu failures=%llu warming_rejections=%llu "
-                  "checksum_bytes=%llu\n",
-                  static_cast<unsigned long long>(index_reloads),
-                  static_cast<unsigned long long>(index_reload_failures),
-                  static_cast<unsigned long long>(warming_rejections),
-                  static_cast<unsigned long long>(index_checksum_bytes_verified));
-    out += buf;
+  std::string out = "service metrics\n";
+  for (std::size_t g = 0; g < std::size(kGroupNames); ++g) {
+    const auto line_group = static_cast<MetricGroup>(g);
+    std::vector<std::string> tokens;
+    bool nonzero = false;
+#define MM_METRIC_TOKEN(name, type, kind, group, doc)      \
+  if (MetricGroup::group == line_group) {                  \
+    tokens.push_back(#name "=" + format_value(name));      \
+    nonzero = nonzero || name != type{};                   \
   }
-  if (gpu_offload_batches + gpu_cpu_batches + gpu_requests > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "  gpu        offloaded=%llu kept_cpu=%llu requests=%llu "
-                  "kernels=%llu host_segments=%llu\n"
-                  "  gpu mem    staged_bytes=%llu stage_fallbacks=%llu\n"
-                  "  gpu fail   launch_failures=%llu requeued_batches=%llu\n"
-                  "  gpu time   device_seconds=%.6f occupancy=%.3f stream_util=%.3f\n",
-                  static_cast<unsigned long long>(gpu_offload_batches),
-                  static_cast<unsigned long long>(gpu_cpu_batches),
-                  static_cast<unsigned long long>(gpu_requests),
-                  static_cast<unsigned long long>(gpu_device_kernels),
-                  static_cast<unsigned long long>(gpu_host_segments),
-                  static_cast<unsigned long long>(gpu_staged_bytes),
-                  static_cast<unsigned long long>(gpu_stage_fallbacks),
-                  static_cast<unsigned long long>(gpu_launch_failures),
-                  static_cast<unsigned long long>(gpu_requeued_batches),
-                  gpu_device_seconds, gpu_occupancy, gpu_stream_utilization);
-    out += buf;
+    MANYMAP_SERVICE_METRICS(MM_METRIC_TOKEN)
+#undef MM_METRIC_TOKEN
+    if (!nonzero && (line_group == MetricGroup::kIndex || line_group == MetricGroup::kGpu))
+      continue;
+    std::string line = "  " + std::string(kGroupNames[g]);
+    line.resize(13, ' ');
+    const std::size_t indent = line.size();
+    for (const std::string& tok : tokens) {
+      if (line.size() > indent && line.size() + 1 + tok.size() > kReportWidth) {
+        out += line + "\n";
+        line.assign(indent, ' ');
+      } else if (line.size() > indent) {
+        line += ' ';
+      }
+      line += tok;
+    }
+    out += line + "\n";
   }
   return out;
 }

@@ -45,6 +45,13 @@ i64 now_ns() {
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 
+/// One shared offload subsystem for every worker (null unless enabled),
+/// built with the service. Kernel resolution (host fallback rung) happens
+/// here, so a misconfigured layout fails at construction, not mid-request.
+std::unique_ptr<gpu::GpuBatchMapper> make_gpu(const ServiceConfig::GpuConfig& cfg) {
+  return cfg.enabled ? std::make_unique<gpu::GpuBatchMapper>(cfg.batch) : nullptr;
+}
+
 /// Splits a request's wait at its batch's hand-off; queue_ms is the sum.
 void stamp_waits(MapResponse& resp, const PendingRequest& p, const RequestBatch& batch,
                  std::chrono::steady_clock::time_point until) {
@@ -56,7 +63,12 @@ void stamp_waits(MapResponse& resp, const PendingRequest& p, const RequestBatch&
 }  // namespace
 
 AlignmentService::AlignmentService(const Reference& ref, ServiceConfig cfg)
-    : cfg_(cfg), ref_(ref), breaker_(cfg.breaker), ingress_(cfg.ingress_capacity) {
+    : cfg_(cfg),
+      ref_(ref),
+      breaker_(cfg.breaker),
+      gpu_(make_gpu(cfg.gpu)),
+      metrics_(&breaker_, gpu_.get()),
+      ingress_(cfg.ingress_capacity) {
   if (cfg_.index.load_path.empty()) {
     // Classic synchronous construction: the index is built before the
     // first request can be admitted.
@@ -71,7 +83,12 @@ AlignmentService::AlignmentService(const Reference& ref, ServiceConfig cfg)
 }
 
 AlignmentService::AlignmentService(const Reference& ref, MinimizerIndex index, ServiceConfig cfg)
-    : cfg_(cfg), ref_(ref), breaker_(cfg.breaker), ingress_(cfg.ingress_capacity) {
+    : cfg_(cfg),
+      ref_(ref),
+      breaker_(cfg.breaker),
+      gpu_(make_gpu(cfg.gpu)),
+      metrics_(&breaker_, gpu_.get()),
+      ingress_(cfg.ingress_capacity) {
   publish_mapper(std::make_shared<const Mapper>(ref, std::move(index), cfg_.map));
   start();
 }
@@ -145,7 +162,7 @@ void AlignmentService::reload_loop(std::string path) {
       IndexLoadOptions opt;
       opt.verify_checksums = icfg.verify_checksums;
       IndexLoadResult res = try_load_index_mmap(path, opt);
-      metrics_.on_index_checksum_bytes(res.checksum_bytes_verified);
+      metrics_.add<Metric::index_checksum_bytes_verified>(res.checksum_bytes_verified);
       if (!res.ok()) {
         failure = res.message;
       } else {
@@ -156,7 +173,7 @@ void AlignmentService::reload_loop(std::string path) {
           failure = "index '" + path + "' does not match the serving reference: " + mismatch;
         } else {
           publish_mapper(std::make_shared<const Mapper>(ref_, std::move(res.index), cfg_.map));
-          metrics_.on_index_reload();
+          metrics_.add<Metric::index_reloads>();
           reload_active_.store(false, std::memory_order_release);
           return;
         }
@@ -166,7 +183,7 @@ void AlignmentService::reload_loop(std::string path) {
     } catch (...) {
       failure = "unknown exception while loading index";
     }
-    metrics_.on_index_reload_failure();
+    metrics_.add<Metric::index_reload_failures>();
     std::fprintf(stderr, "[index] load attempt %u/%u failed: %s\n", attempt + 1, attempts,
                  failure.c_str());
   }
@@ -178,10 +195,6 @@ void AlignmentService::reload_loop(std::string path) {
 
 void AlignmentService::start() {
   MM_REQUIRE(cfg_.shards > 0 && cfg_.workers_per_shard > 0, "service needs workers");
-  // One shared offload subsystem for every worker, built before any worker
-  // can pop a batch. Kernel resolution (host fallback rung) happens here,
-  // so a misconfigured layout fails at construction, not mid-request.
-  if (cfg_.gpu.enabled) gpu_ = std::make_unique<gpu::GpuBatchMapper>(cfg_.gpu.batch);
   shards_.reserve(cfg_.shards);
   for (u32 s = 0; s < cfg_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(cfg_.shard_queue_capacity));
@@ -201,14 +214,14 @@ void AlignmentService::start() {
 }
 
 std::future<MapResponse> AlignmentService::admit(MapRequest req, bool blocking) {
-  metrics_.on_submitted();
+  metrics_.add<Metric::submitted>();
   // Oversize guard: kernel/DP coordinates are i32, so a read beyond
   // kMaxReadBases can never be aligned; before the footprint math went
   // u64 end-to-end, a multi-GiB read also wrapped the u32 estimate and
   // sneaked under the memory ladder. Answer a structured kFailed at
   // admission instead of letting a worker discover it the hard way.
   if (req.read.size() > kMaxReadBases) {
-    metrics_.on_failed();
+    metrics_.add<Metric::failed>();
     std::promise<MapResponse> done;
     auto fut = done.get_future();
     MapResponse resp;
@@ -220,14 +233,16 @@ std::future<MapResponse> AlignmentService::admit(MapRequest req, bool blocking) 
   }
   PendingRequest p{std::move(req), {}, std::chrono::steady_clock::now()};
   auto fut = p.promise.get_future();
-  metrics_.record_queue_depth(ingress_.size());
+  const u64 depth = ingress_.size();
+  metrics_.observe<Metric::queue_depth_last>(depth);
+  metrics_.observe<Metric::queue_depth_peak>(depth);
   const bool admitted = blocking ? ingress_.push(std::move(p)) : ingress_.try_push(std::move(p));
   if (admitted) {
-    metrics_.on_accepted();
+    metrics_.add<Metric::accepted>();
   } else {
     // Both push paths leave `p` intact on failure (full or closed), so the
     // promise is still ours to resolve with a rejection.
-    metrics_.on_rejected();
+    metrics_.add<Metric::rejected>();
     MapResponse resp;
     resp.id = p.req.id;
     resp.status = RequestStatus::kRejected;
@@ -284,7 +299,7 @@ void AlignmentService::dispatch_batch(RequestBatch&& batch) {
       }
       if (leanest != target) {
         target = leanest;
-        metrics_.on_budget_redirect();
+        metrics_.add<Metric::budget_redirects>();
       }
     }
   }
@@ -339,8 +354,6 @@ MapResponse AlignmentService::serve_one(PendingRequest& p, u32 shard_id,
   // Degraded mode: while the breaker is open, shed the base-level CIGAR
   // pass (the expensive stage) and serve chain-derived mappings.
   const bool degraded = breaker_.degraded(compute_start);
-  if (degraded != degraded_now_.exchange(degraded, std::memory_order_relaxed))
-    metrics_.set_degraded(degraded);
   resp.degraded = degraded;
   // Memory-budget ladder: estimate the request's worst-case resident dirs
   // footprint and pick the cheapest rung that honours the budget —
@@ -396,7 +409,7 @@ MapResponse AlignmentService::serve_one(PendingRequest& p, u32 shard_id,
     resp.status = RequestStatus::kOk;
     if (gpu != nullptr && gpu->used_device) {
       resp.on_device = true;
-      metrics_.on_gpu_request();
+      metrics_.add<Metric::gpu_requests>();
     }
     maybe_verify_live(p.req, resp, *mapper);
   } catch (const MapDeadlineExceeded&) {
@@ -421,19 +434,24 @@ void AlignmentService::account(const PendingRequest& p, const MapResponse& resp)
     case RequestStatus::kOk:
       metrics_.on_completed(ms_since(p.enqueued, std::chrono::steady_clock::now()),
                             resp.compute_ms);
-      metrics_.on_fallback(resp.timings.deepest_fallback_rung, resp.timings.kernel_retries,
-                           resp.timings.band_fallbacks);
-      if (resp.degraded) metrics_.on_degraded_response();
-      if (resp.degrade == DegradeLevel::kStreamedDirs)
-        metrics_.on_streamed_response(resp.timings.dirs_spilled_bytes);
-      else if (resp.degrade == DegradeLevel::kScoreOnly && !resp.degraded)
-        metrics_.on_mem_score_only();
+      // The kernel ladder's deepest rung and retries, plus band_hit reruns.
+      if (resp.timings.deepest_fallback_rung >= 2) metrics_.add<Metric::fallback_banded>();
+      else if (resp.timings.deepest_fallback_rung == 1) metrics_.add<Metric::fallback_scalar>();
+      metrics_.add<Metric::kernel_retries>(resp.timings.kernel_retries);
+      metrics_.add<Metric::band_fallbacks>(resp.timings.band_fallbacks);
+      if (resp.degraded) metrics_.add<Metric::degraded_responses>();
+      if (resp.degrade == DegradeLevel::kStreamedDirs) {
+        metrics_.add<Metric::streamed_responses>();
+        metrics_.add<Metric::dirs_spilled_bytes>(resp.timings.dirs_spilled_bytes);
+      } else if (resp.degrade == DegradeLevel::kScoreOnly && !resp.degraded) {
+        metrics_.add<Metric::mem_score_only>();
+      }
       break;
     case RequestStatus::kTimedOut:
-      metrics_.on_timed_out();
+      metrics_.add<Metric::timed_out>();
       break;
     case RequestStatus::kFailed:
-      metrics_.on_failed();
+      metrics_.add<Metric::failed>();
       breaker_.on_failure(std::chrono::steady_clock::now());
       break;
     case RequestStatus::kRejected:
@@ -442,7 +460,7 @@ void AlignmentService::account(const PendingRequest& p, const MapResponse& resp)
       // Not a failure (no breaker pressure): the service is healthy, the
       // index just has not finished loading. Counted so operators can see
       // how much traffic arrived before warm-up completed.
-      metrics_.on_warming_rejection();
+      metrics_.add<Metric::warming_rejections>();
       break;
   }
 }
@@ -474,12 +492,14 @@ void AlignmentService::maybe_verify_live(const MapRequest& req, const MapRespons
         m.cigar.empty()
             ? verify::check_live_spans(lm)
             : verify::check_live_mapping(lm, cfg_.map.scores, cfg_.verify_max_cells);
-    metrics_.on_verified(!check.ok);
-    if (degraded_resp) metrics_.on_verified_degraded();
-    if (!check.ok)
+    metrics_.add<Metric::verified>();
+    if (degraded_resp) metrics_.add<Metric::verified_degraded>();
+    if (!check.ok) {
+      metrics_.add<Metric::verify_divergences>();
       std::fprintf(stderr, "[verify] request %llu read %s: %s\n",
                    static_cast<unsigned long long>(resp.id), req.read.name.c_str(),
                    check.failure.c_str());
+    }
   }
 }
 
@@ -505,7 +525,7 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
       for (;;) {
         popped = shard.queue.pop_for(cfg_.idle_trim.after_idle);
         if (popped || shard.queue.closed()) break;
-        if (arena.trim(cfg_.idle_trim.retain_bytes) > 0) metrics_.on_arena_trim();
+        if (arena.trim(cfg_.idle_trim.retain_bytes) > 0) metrics_.add<Metric::arena_trims>();
       }
     } else {
       popped = shard.queue.pop();
@@ -516,7 +536,8 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
     // takes effect at the NEXT batch, so every item of this one is served
     // against the same index (null while the initial load is warming).
     const std::shared_ptr<const Mapper> mapper_snap = mapper_snapshot();
-    metrics_.on_batch(batch->items.size());
+    metrics_.add<Metric::batches>();
+    metrics_.add<Metric::batched_requests>(batch->items.size());
     state->heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
     {
       std::lock_guard lock(state->mu);
@@ -597,7 +618,7 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
       }
       if (gpu_serve != nullptr && gpu_ctx.launch_failed) gpu_serve = nullptr;
       if (requeue) {
-        metrics_.on_gpu_requeue();
+        metrics_.add<Metric::gpu_requeued_batches>();
         const u64 rest_bases = requeue->total_bases();
         shard.outstanding_bases.fetch_add(rest_bases, std::memory_order_relaxed);
         // try_push, never push: this worker is one of the queue's own
@@ -617,25 +638,9 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
       }
     }
     state->busy.store(false, std::memory_order_release);
-    // Settle the device model once per gpu-capable batch: replay the
-    // accumulated launches through the occupancy tracker and publish the
-    // subsystem's cumulative counters as metric gauges.
-    if (gpu_ != nullptr) {
-      if (gpu_ctx.mapper != nullptr) gpu_->flush();
-      const gpu::GpuBatchStats gs = gpu_->stats();
-      GpuMetrics gm;
-      gm.offload_batches = gs.offload_batches;
-      gm.cpu_batches = gs.cpu_batches;
-      gm.device_kernels = gs.device_kernels;
-      gm.host_segments = gs.host_segments;
-      gm.staged_bytes = gs.staged_bytes;
-      gm.stage_fallbacks = gs.stage_fallbacks;
-      gm.launch_failures = gs.launch_failures;
-      gm.device_seconds = gs.occupancy.device_seconds;
-      gm.occupancy = gs.occupancy.occupancy();
-      gm.stream_utilization = gs.occupancy.stream_utilization();
-      metrics_.set_gpu(gm);
-    }
+    // Settle the device model once per offloaded batch: replay the
+    // accumulated launches through the occupancy tracker.
+    if (gpu_ctx.mapper != nullptr) gpu_->flush();
     if (lost_batch) return;  // we were replaced; the respawn serves on
     shard.outstanding_bases.fetch_sub(state->batch_bases, std::memory_order_relaxed);
     shard.outstanding_dirs_bytes.fetch_sub(state->batch_dirs_bytes, std::memory_order_relaxed);
@@ -682,13 +687,13 @@ void AlignmentService::watchdog_loop(u32 shard_id) {
           resp.error = "worker stalled; batch failed by watchdog";
           stamp_waits(resp, p, *batch, now);
           p.promise.set_value(std::move(resp));
-          metrics_.on_failed();
+          metrics_.add<Metric::failed>();
           breaker_.on_failure(now);
         }
         shard.outstanding_bases.fetch_sub(st.batch_bases, std::memory_order_relaxed);
         shard.outstanding_dirs_bytes.fetch_sub(st.batch_dirs_bytes, std::memory_order_relaxed);
       }
-      metrics_.on_worker_stall();
+      metrics_.add<Metric::worker_stalls>();
 
       // Retire the stuck thread (joined at shutdown; stalls are finite) and
       // respawn a fresh worker so the shard keeps its capacity.
@@ -697,7 +702,7 @@ void AlignmentService::watchdog_loop(u32 shard_id) {
       fresh->heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
       handle.state = fresh;
       handle.thread = std::thread([this, shard_id, fresh] { worker_loop(shard_id, fresh); });
-      metrics_.on_worker_respawn();
+      metrics_.add<Metric::worker_respawns>();
     }
   }
 }

@@ -321,21 +321,21 @@ class AlignmentService {
   std::atomic<bool> reload_active_{false};  ///< cleared by the reload thread itself
   std::mutex backoff_mu_;                   ///< backoff sleep interruptible at shutdown
   std::condition_variable reload_cv_;
-  ServiceMetrics metrics_;
   CircuitBreaker breaker_;
   /// Shared device-offload subsystem (null unless cfg_.gpu.enabled). One
   /// mapper serves every worker; workers are assigned staging streams
   /// round-robin at spawn via gpu_stream_next_.
   std::unique_ptr<gpu::GpuBatchMapper> gpu_;
   std::atomic<u32> gpu_stream_next_{0};
+  /// Declared after breaker_ and gpu_, whose state it reads at snapshot time.
+  ServiceMetrics metrics_;
 
   BoundedQueue<PendingRequest> ingress_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::thread scheduler_;
   u64 rr_next_ = 0;  ///< scheduler-thread only
   std::atomic<bool> stopped_{false};
-  std::atomic<bool> degraded_now_{false};  ///< mirrors the breaker, for metrics
-  std::atomic<u64> ok_responses_{0};       ///< drives verify sampling
+  std::atomic<u64> ok_responses_{0};  ///< drives verify sampling
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  ///< guarded by watchdog_mu_

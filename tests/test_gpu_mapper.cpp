@@ -16,20 +16,15 @@ class GpuMapperTest : public ::testing::Test {
     g.num_contigs = 2;
     g.seed = 4242;
     ref_ = new Reference(generate_genome(g));
-    device_ = new simt::Device(simt::DeviceSpec::v100());
   }
   static void TearDownTestSuite() {
     delete ref_;
-    delete device_;
     ref_ = nullptr;
-    device_ = nullptr;
   }
   static Reference* ref_;
-  static simt::Device* device_;
 };
 
 Reference* GpuMapperTest::ref_ = nullptr;
-simt::Device* GpuMapperTest::device_ = nullptr;
 
 TEST_F(GpuMapperTest, ResultsBitIdenticalToCpuPath) {
   ReadSimParams rp;
@@ -41,7 +36,7 @@ TEST_F(GpuMapperTest, ResultsBitIdenticalToCpuPath) {
 
   const MapOptions opt = MapOptions::map_pb();
   const Mapper cpu(*ref_, opt);
-  const auto gpu = gpu_map_reads(*ref_, opt, reads, *device_);
+  const auto gpu = gpu_map_reads(*ref_, opt, reads);
 
   ASSERT_EQ(gpu.mappings.size(), reads.size());
   for (std::size_t i = 0; i < reads.size(); ++i) {
@@ -64,9 +59,11 @@ TEST_F(GpuMapperTest, SegmentsSplitBetweenHostAndDevice) {
   std::vector<Sequence> reads;
   for (const auto& r : sim) reads.push_back(r.read);
 
-  const auto gpu = gpu_map_reads(*ref_, MapOptions::map_pb(), reads, *device_);
   // Extensions (and any large gap fills) go to the device; the many tiny
-  // inter-anchor fills stay on the host.
+  // inter-anchor fills stay on the host under a 10k-cell launch cutoff.
+  gpu::GpuBatchConfig cfg;
+  cfg.min_gpu_cells = 10'000;
+  const auto gpu = gpu_map_reads(*ref_, MapOptions::map_pb(), reads, cfg);
   EXPECT_GT(gpu.gpu_kernels, 0u);
   EXPECT_GT(gpu.cpu_segments, gpu.gpu_kernels);
   EXPECT_GT(gpu.gpu_cells, 0u);
@@ -83,14 +80,14 @@ TEST_F(GpuMapperTest, CutoffRespected) {
   std::vector<Sequence> reads;
   for (const auto& r : sim) reads.push_back(r.read);
 
-  GpuMapConfig all_gpu;
+  gpu::GpuBatchConfig all_gpu;
   all_gpu.min_gpu_cells = 0;
-  const auto a = gpu_map_reads(*ref_, MapOptions::map_pb(), reads, *device_, all_gpu);
+  const auto a = gpu_map_reads(*ref_, MapOptions::map_pb(), reads, all_gpu);
   EXPECT_EQ(a.cpu_segments, 0u);
 
-  GpuMapConfig none_gpu;
+  gpu::GpuBatchConfig none_gpu;
   none_gpu.min_gpu_cells = ~0ULL;
-  const auto b = gpu_map_reads(*ref_, MapOptions::map_pb(), reads, *device_, none_gpu);
+  const auto b = gpu_map_reads(*ref_, MapOptions::map_pb(), reads, none_gpu);
   EXPECT_EQ(b.gpu_kernels, 0u);
   EXPECT_EQ(b.device_seconds, 0.0);
   // Both paths produce the same mappings.

@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "base/random.hpp"
 #include "core/paf.hpp"
 #include "fault/fault.hpp"
 #include "service/batch_scheduler.hpp"
@@ -615,6 +617,65 @@ TEST(ServiceFault, BreakerShedsToScoreOnlyThenRecovers) {
   EXPECT_FALSE(snap.degraded_now);
 }
 
+// The breaker rows are read from the breaker when the snapshot is taken,
+// so they follow its state between requests: an open breaker reads open
+// before any request sees it, an expired cooldown reads closed while the
+// service idles, and an episode no request observed is still counted.
+TEST(ServiceFault, BreakerMetricsReadTheBreakerBetweenRequests) {
+  const auto& w = workload();
+  ServiceConfig cfg;
+  cfg.workers_per_shard = 1;
+  cfg.breaker.failure_threshold = 2;
+  cfg.breaker.window = std::chrono::seconds(10);
+  cfg.breaker.cooldown = std::chrono::milliseconds(300);
+  auto fail_twice = [&](AlignmentService& svc) {
+    for (u64 i = 0; i < 2; ++i) {
+      MapRequest req;
+      req.id = i;
+      req.read = w.reads[i];
+      EXPECT_EQ(svc.submit_wait(std::move(req)).get().status, RequestStatus::kFailed);
+    }
+  };
+  fault::FaultSpec spec;
+  spec.site = "service.worker.compute";
+  spec.one_in = 1;
+  spec.max_fires = 2;
+
+  {  // Two failures, snapshot, one degraded request, idle past the cooldown.
+    fault::FaultPlan plan(25);
+    plan.arm(spec);
+    AlignmentService svc(w.ref, cfg);
+    const fault::ScopedPlan guard(&plan);
+    fail_twice(svc);
+    const auto open = svc.metrics().snapshot();
+    EXPECT_EQ(open.breaker_opened, 1u);
+    EXPECT_TRUE(open.degraded_now);
+    MapRequest deg;
+    deg.id = 10;
+    deg.read = w.reads[0];
+    EXPECT_TRUE(svc.submit_wait(std::move(deg)).get().degraded);
+    std::this_thread::sleep_for(500ms);
+    EXPECT_FALSE(svc.metrics().snapshot().degraded_now);
+    svc.shutdown();
+  }
+  {  // Two failures, idle past the cooldown, one full-service request.
+    fault::FaultPlan plan(25);
+    plan.arm(spec);
+    AlignmentService svc(w.ref, cfg);
+    const fault::ScopedPlan guard(&plan);
+    fail_twice(svc);
+    std::this_thread::sleep_for(500ms);
+    MapRequest full;
+    full.id = 11;
+    full.read = w.reads[0];
+    EXPECT_FALSE(svc.submit_wait(std::move(full)).get().degraded);
+    const auto snap = svc.metrics().snapshot();
+    EXPECT_EQ(snap.breaker_opened, 1u);
+    EXPECT_FALSE(snap.degraded_now);
+    svc.shutdown();
+  }
+}
+
 TEST(ServiceFault, FallbackLadderKeepsResponsesByteIdentical) {
   const auto& w = workload();
   fault::FaultPlan plan(26);
@@ -859,6 +920,167 @@ TEST(Metrics, SparseReservoirPercentilesAreObservedSamples) {
   snap = many.snapshot();
   EXPECT_DOUBLE_EQ(snap.latency_ms_p50, 50.0);
   EXPECT_DOUBLE_EQ(snap.latency_ms_p99, 99.0);
+}
+
+// ---- metrics registry: every table row reaches the snapshot and report.
+
+// Bumps a stored row to `v` through the registry entry point for its
+// kind, exercising that kind's rule, and returns `v`. Rows owned by
+// another component or derived are not bumped and return 0.
+template <Metric m>
+u64 bump_row(ServiceMetrics& metrics, u64 v) {
+  if constexpr (kind_of(m) == MetricKind::kCounter) {
+    metrics.add<m>(v / 2);
+    metrics.add<m>(v - v / 2);  // counts sum
+  } else if constexpr (kind_of(m) == MetricKind::kGauge) {
+    metrics.observe<m>(v + 5);
+    metrics.observe<m>(v);  // the latest value wins
+  } else if constexpr (kind_of(m) == MetricKind::kPeak) {
+    metrics.observe<m>(v);
+    metrics.observe<m>(v - 1);  // the peak holds
+  } else {
+    return 0;
+  }
+  return v;
+}
+
+std::string value_text(u64 v) { return std::to_string(v); }
+std::string value_text(bool v) { return v ? "1" : "0"; }
+std::string value_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+/// True when `report` holds the whole token `name=text`.
+bool has_token(const std::string& report, const char* name, const std::string& text) {
+  const std::string tok = " " + std::string(name) + "=" + text;
+  for (std::size_t at = report.find(tok); at != std::string::npos;
+       at = report.find(tok, at + 1)) {
+    const std::size_t after = at + tok.size();
+    if (after == report.size() || report[after] == ' ' || report[after] == '\n') return true;
+  }
+  return false;
+}
+
+TEST(Metrics, EveryTableRowReachesSnapshotAndReport) {
+  // Breaker rows: opened three times, open now (cooldown one hour).
+  BreakerConfig bc;
+  bc.failure_threshold = 1;
+  bc.cooldown = std::chrono::hours(1);
+  CircuitBreaker breaker(bc);
+  const auto now = std::chrono::steady_clock::now();
+  breaker.on_failure(now - 3h);
+  ASSERT_FALSE(breaker.degraded(now - 2h));  // cooldown elapsed: closes
+  breaker.on_failure(now - 2h);
+  ASSERT_FALSE(breaker.degraded(now - 1h));
+  breaker.on_failure(now);
+
+  // GPU rows, each at a distinct value: 5 offloaded and 6 CPU placements;
+  // 2 device segments, 3 staging fallbacks and 4 segments under the launch
+  // cutoff (7 host segments); one flush.
+  gpu::GpuBatchConfig gc;
+  gc.num_streams = 2;
+  gc.staging_bytes = 1'024;  // 512 per stream: a 300 + 300 base segment overflows
+  gc.min_gpu_cells = 1'000;
+  gpu::GpuBatchMapper offload(gc);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(offload.place({2'000, 2'000, 2'000, 2'000}).offload);
+  for (int i = 0; i < 6; ++i) ASSERT_FALSE(offload.place({}).offload);
+  Rng rng(77);
+  std::vector<u8> t(300), q(300);
+  for (auto& b : t) b = rng.base();
+  for (auto& b : q) b = rng.base();
+  auto segment = [&](i32 len) {
+    DiffArgs a;
+    a.target = t.data();
+    a.tlen = len;
+    a.query = q.data();
+    a.qlen = len;
+    return offload.align_segment(a, 0).on_device;
+  };
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(segment(200));
+  for (int i = 0; i < 3; ++i) ASSERT_FALSE(segment(300));
+  for (int i = 0; i < 4; ++i) ASSERT_FALSE(segment(20));
+  offload.flush();
+  const gpu::GpuBatchStats g = offload.stats();
+
+  ServiceMetrics metrics(&breaker, &offload);
+  MetricsSnapshot want;
+  u64 row = 0;
+#define BUMP_ROW(name, type, kind, group, doc) \
+  ++row;                                        \
+  want.name = static_cast<type>(bump_row<Metric::name>(metrics, 100 * row + 7));
+  MANYMAP_SERVICE_METRICS(BUMP_ROW)
+#undef BUMP_ROW
+  metrics.on_completed(10.0, 4.0);
+  metrics.on_completed(30.0, 6.0);
+  want.completed += 2;
+  want.mean_batch_size =
+      static_cast<double>(want.batched_requests) / static_cast<double>(want.batches);
+  want.latency_ms_mean = 20.0;
+  want.latency_ms_p50 = 10.0;
+  want.latency_ms_p99 = 30.0;
+  want.compute_ms_mean = 5.0;
+  want.breaker_opened = 3;
+  want.degraded_now = true;
+  want.gpu_offload_batches = 5;
+  want.gpu_cpu_batches = 6;
+  want.gpu_device_kernels = 2;
+  want.gpu_host_segments = 7;
+  want.gpu_staged_bytes = 2 * 400 + 3 * 300;  // a failed segment staged its target
+  want.gpu_stage_fallbacks = 3;
+  want.gpu_launch_failures = 0;
+  want.gpu_device_seconds = g.occupancy.device_seconds;
+  want.gpu_occupancy = g.occupancy.occupancy();
+  want.gpu_stream_utilization = g.occupancy.stream_utilization();
+  EXPECT_GT(g.occupancy.device_seconds, 0.0);
+  EXPECT_GT(g.occupancy.occupancy(), 0.0);
+  EXPECT_GT(g.occupancy.stream_utilization(), 0.0);
+
+  const MetricsSnapshot snap = metrics.snapshot();
+  const std::string report = snap.report();
+#define CHECK_ROW(name, type, kind, group, doc)                            \
+  EXPECT_EQ(snap.name, want.name) << #name;                                \
+  EXPECT_TRUE(has_token(report, #name, value_text(want.name))) << #name << "\n" << report;
+  MANYMAP_SERVICE_METRICS(CHECK_ROW)
+#undef CHECK_ROW
+}
+
+TEST(Metrics, ConcurrentAddsOnOneCounterAreExact) {
+  ServiceMetrics metrics;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&metrics] {
+      for (int i = 0; i < 10'000; ++i) metrics.add<Metric::verified>();
+    });
+  // Snapshots taken while the adders run never go backwards.
+  u64 seen = 0;
+  for (int i = 0; i < 100; ++i) {
+    const u64 now = metrics.snapshot().verified;
+    EXPECT_GE(now, seen);
+    seen = now;
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(metrics.snapshot().verified, 40'000u);
+}
+
+TEST(Metrics, IndexAndGpuLinesPrintOnlyWhenNonzero) {
+  ServiceMetrics metrics;
+  std::string report = metrics.snapshot().report();
+  EXPECT_TRUE(has_token(report, "fallback_scalar", "0")) << report;  // always printed
+  EXPECT_EQ(report.find("index_"), std::string::npos) << report;
+  EXPECT_EQ(report.find("gpu_"), std::string::npos) << report;
+
+  metrics.add<Metric::warming_rejections>();
+  report = metrics.snapshot().report();
+  EXPECT_TRUE(has_token(report, "index_reloads", "0")) << report;
+  EXPECT_TRUE(has_token(report, "warming_rejections", "1")) << report;
+  EXPECT_EQ(report.find("gpu_"), std::string::npos) << report;
+
+  metrics.add<Metric::gpu_requeued_batches>();
+  report = metrics.snapshot().report();
+  EXPECT_TRUE(has_token(report, "gpu_offload_batches", "0")) << report;
+  EXPECT_TRUE(has_token(report, "gpu_requeued_batches", "1")) << report;
 }
 
 }  // namespace
