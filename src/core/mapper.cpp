@@ -29,6 +29,11 @@ constexpr u64 kGapCellCap = 2'000'000;
 /// Longest unanchored read end that is extension-aligned; longer tails
 /// are soft-clipped past this (minimap2's z-drop plays the same role).
 constexpr u32 kExtensionCap = 2000;
+/// Chains below this fraction of the top chain's score are dropped before
+/// base-level alignment (minimap2's -p 0.8), tested exactly in i64 as
+/// kPriRatioDen * score >= kPriRatioNum * top.
+constexpr i64 kPriRatioNum = 4;
+constexpr i64 kPriRatioDen = 5;
 
 struct StitchResult {
   Cigar cigar;
@@ -111,11 +116,26 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
   check_deadline();  // after seeding, before chaining
   auto chains = chain_anchors(anchors, opt_.chain);
   const double seed_chain_s = seed_timer.seconds();
-  if (timings != nullptr) timings->seed_chain_seconds += seed_chain_s;
+  if (timings != nullptr) {
+    timings->seed_chain_seconds += seed_chain_s;
+    timings->chains += chains.size();
+  }
   if (chains.empty()) return mappings;
   check_deadline();  // after chaining, before base-level alignment
 
-  if (chains.size() > opt_.max_mappings) chains.resize(opt_.max_mappings);
+  // MAPQ reads the read's two best chain scores, taken before selection
+  // (minimap2's score0 and subsc), so it never depends on which
+  // secondaries were aligned.
+  const i64 top_score = chains[0].score;
+  const i64 second_score = chains.size() > 1 ? chains[1].score : 0;
+  // Select before aligning: keep the top chain and up to max_mappings - 1
+  // more that score at least kPriRatio of it. Chains come sorted by
+  // score, so the kept ones are a prefix.
+  std::size_t selected = 1;
+  while (selected < chains.size() &&
+         kPriRatioDen * chains[selected].score >= kPriRatioNum * top_score)
+    ++selected;
+  chains.resize(std::min<std::size_t>(selected, opt_.max_mappings));
 
   WallTimer align_timer;
   const u32 k = opt_.sketch.k;
@@ -384,8 +404,8 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
 
   // MAPQ from the top-two chain scores (minimap2-flavoured heuristic).
   if (!mappings.empty()) {
-    const double f1 = static_cast<double>(mappings[0].chain_score);
-    const double f2 = mappings.size() > 1 ? static_cast<double>(mappings[1].chain_score) : 0.0;
+    const double f1 = static_cast<double>(top_score);
+    const double f2 = static_cast<double>(second_score);
     for (auto& m : mappings) {
       if (!m.primary) {
         m.mapq = 0;
@@ -407,6 +427,7 @@ std::vector<Mapping> Mapper::map(const Sequence& read, const MapCall& call) cons
     timings->auto_band_kernels += banded_kernels;
     timings->auto_band_full += unbanded_kernels;
     timings->band_fallbacks += band_fallbacks;
+    timings->chains_aligned += mappings.size();
   }
   return mappings;
 }

@@ -59,6 +59,8 @@ struct MapTimings {
   u64 auto_band_kernels = 0;  ///< kernel calls attempted with a band
   u64 auto_band_full = 0;     ///< kernel calls run unbanded
   u64 band_fallbacks = 0;     ///< banded kernels rerun unbanded on band_hit
+  u64 chains = 0;             ///< chains built by chain_anchors
+  u64 chains_aligned = 0;     ///< chains kept by selection and turned into mappings
 
   MapTimings& operator+=(const MapTimings& o) {
     seed_chain_seconds += o.seed_chain_seconds;
@@ -68,6 +70,8 @@ struct MapTimings {
     auto_band_kernels += o.auto_band_kernels;
     auto_band_full += o.auto_band_full;
     band_fallbacks += o.band_fallbacks;
+    chains += o.chains;
+    chains_aligned += o.chains_aligned;
     deepest_fallback_rung = deepest_fallback_rung > o.deepest_fallback_rung
                                 ? deepest_fallback_rung
                                 : o.deepest_fallback_rung;
@@ -147,8 +151,10 @@ class Mapper {
   /// Use a prebuilt/loaded index (it must describe `ref`).
   Mapper(const Reference& ref, MinimizerIndex index, MapOptions opt);
 
-  /// Map one read; mappings sorted best-first. Optionally accumulates
-  /// stage timings.
+  /// Map one read; mappings sorted best-first. Only the top chain and up
+  /// to max_mappings - 1 chains scoring at least 0.8x it are aligned; MAPQ
+  /// comes from the two best chain scores. Optionally accumulates stage
+  /// timings.
   std::vector<Mapping> map(const Sequence& read, MapTimings* timings = nullptr) const;
   /// Map with a per-call context (deadline, degraded mode, timings).
   std::vector<Mapping> map(const Sequence& read, const MapCall& call) const;

@@ -25,7 +25,9 @@ struct MapOptions {
   bool with_cigar = true;
   /// Flanking bases added around chain ends for the extension alignments.
   u32 end_bonus_window = 64;
-  /// Report at most this many mappings per read.
+  /// Report at most this many mappings per read: the top chain plus
+  /// secondaries scoring at least 0.8x it (Mapper::map selects chains
+  /// before aligning them).
   u32 max_mappings = 5;
   /// Static band half-width for the diff/two-piece kernels (--band N);
   /// 0 (the default) is unbanded. A banded run is exact whenever the

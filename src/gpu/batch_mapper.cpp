@@ -56,11 +56,9 @@ GpuBatchMapper::SegmentResult GpuBatchMapper::align_segment(const DiffArgs& a,
 
   // Stage the segment's sequence slices into the stream's partition; an
   // exhausted partition is the §4.5.2 allocator-failure path -> CPU.
-  const auto t_slot = staging_.stage(stream, a.target, static_cast<u64>(a.tlen));
-  const auto q_slot =
-      t_slot ? staging_.stage(stream, a.query, static_cast<u64>(a.qlen)) : std::nullopt;
-  if (!t_slot || !q_slot) {
-    staging_.release(stream);
+  const auto slots = staging_.stage_pair(stream, a.target, static_cast<u64>(a.tlen), a.query,
+                                         static_cast<u64>(a.qlen));
+  if (!slots) {
     seg.result = host_align(a);
     return seg;
   }
@@ -77,8 +75,8 @@ GpuBatchMapper::SegmentResult GpuBatchMapper::align_segment(const DiffArgs& a,
   // off, so the kernel holds only the linear difference arrays — the
   // quadratic dirs area never lands on the device.
   DiffArgs dev = a;
-  dev.target = t_slot->host;
-  dev.query = q_slot->host;
+  dev.target = slots->first.host;
+  dev.query = slots->second.host;
   dev.with_cigar = false;
   dev.spill = nullptr;
   dev.spill_block_rows = 0;

@@ -12,24 +12,38 @@ StagingArea::StagingArea(u64 total_bytes, u32 num_streams)
 
 std::optional<StagingArea::Slot> StagingArea::stage(u32 stream, const u8* data,
                                                     u64 bytes) {
+  const auto slots = stage_pair(stream, data, bytes, nullptr, 0);
+  if (!slots) return std::nullopt;
+  return slots->first;
+}
+
+std::optional<std::pair<StagingArea::Slot, StagingArea::Slot>> StagingArea::stage_pair(
+    u32 stream, const u8* first, u64 first_bytes, const u8* second, u64 second_bytes) {
   std::lock_guard lock(mu_);
   if (MM_INJECT_FAIL("gpu.stage_oom")) {
     ++stage_failures_;
     return std::nullopt;
   }
-  const std::optional<u64> offset = pool_.allocate(stream, bytes);
+  // One reservation for both slices; the second starts at the pool's
+  // 16-byte granule past the first, as two allocations would place it.
+  const u64 second_at = round_up(first_bytes, 16);
+  const std::optional<u64> offset = pool_.allocate(stream, second_at + second_bytes);
   if (!offset) {
     ++stage_failures_;
     return std::nullopt;
   }
-  Slot slot;
-  slot.stream = stream;
-  slot.offset = *offset;
-  slot.bytes = bytes;
-  slot.host = buffer_.data() + *offset;
-  if (bytes > 0) std::memcpy(buffer_.data() + *offset, data, bytes);
-  staged_bytes_ += bytes;
-  return slot;
+  auto fill = [&](u64 at, const u8* data, u64 bytes) {
+    Slot slot;
+    slot.stream = stream;
+    slot.offset = at;
+    slot.bytes = bytes;
+    slot.host = buffer_.data() + at;
+    if (bytes > 0) std::memcpy(buffer_.data() + at, data, bytes);
+    staged_bytes_ += bytes;
+    return slot;
+  };
+  return std::pair{fill(*offset, first, first_bytes),
+                   fill(*offset + second_at, second, second_bytes)};
 }
 
 void StagingArea::release(u32 stream) {

@@ -11,6 +11,7 @@
 
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "base/common.hpp"
@@ -35,6 +36,14 @@ class StagingArea {
   /// partition is exhausted or the "gpu.stage_oom" fault fires; the
   /// partition is left untouched in both cases.
   std::optional<Slot> stage(u32 stream, const u8* data, u64 bytes);
+
+  /// Stage a segment's two slices (target, query) all or nothing: both are
+  /// reserved in one allocation under the lock, and nothing is copied or
+  /// counted unless both fit. A failed attempt is one stage_failures()
+  /// count and one "gpu.stage_oom" check, as for stage().
+  std::optional<std::pair<Slot, Slot>> stage_pair(u32 stream, const u8* first,
+                                                  u64 first_bytes, const u8* second,
+                                                  u64 second_bytes);
 
   /// Release everything staged in the stream's partition.
   void release(u32 stream);

@@ -14,49 +14,61 @@ std::size_t table_size_for(std::size_t keys) {
   return n;
 }
 
+/// Stable LSD radix sort of `mins` on the low `key_bits` bits of the key.
+/// The scratch buffer is freed on return, before the caller allocates the
+/// index tables, so it does not raise the build's peak memory.
+void sort_by_key(std::vector<Minimizer>& mins, u32 key_bits) {
+  constexpr u32 kDigitBits = 11;
+  std::vector<Minimizer> scratch(mins.size());
+  for (u32 shift = 0; shift < key_bits; shift += kDigitBits) {
+    std::vector<std::size_t> start((std::size_t{1} << kDigitBits) + 1, 0);
+    const auto digit = [&](const Minimizer& m) {
+      return (m.key >> shift) & ((1u << kDigitBits) - 1);
+    };
+    for (const Minimizer& m : mins) ++start[digit(m) + 1];
+    for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (const Minimizer& m : mins) scratch[start[digit(m)]++] = m;
+    mins.swap(scratch);
+  }
+}
+
 }  // namespace
 
 MinimizerIndex MinimizerIndex::build(const Reference& ref, const SketchParams& params) {
-  struct Raw {
-    u64 key;
-    IndexEntry entry;
-  };
-  std::vector<Raw> raws;
-  for (std::size_t cid = 0; cid < ref.num_contigs(); ++cid) {
-    const auto mins = sketch(ref.contig(cid).codes, static_cast<u32>(cid), params);
-    raws.reserve(raws.size() + mins.size());
-    for (const auto& m : mins)
-      raws.push_back({m.key, IndexEntry{m.rid, m.pos, m.strand_rev}});
-  }
-  std::sort(raws.begin(), raws.end(), [](const Raw& a, const Raw& b) {
-    if (a.key != b.key) return a.key < b.key;
-    if (a.entry.rid != b.entry.rid) return a.entry.rid < b.entry.rid;
-    return a.entry.pos < b.entry.pos;
-  });
+  // Every contig sketches into one vector reserved up front: fresh pages
+  // are a large share of the build time.
+  std::vector<Minimizer> mins;
+  mins.reserve(expected_minimizers(ref.total_length(), params));
+  for (std::size_t cid = 0; cid < ref.num_contigs(); ++cid)
+    sketch(ref.contig(cid).codes, static_cast<u32>(cid), params, mins);
+  // Order by (key, rid, pos). The sketch emits strictly increasing
+  // positions per contig, so mins are already in (rid, pos) order and a
+  // stable sort on the key alone gives that order.
+  sort_by_key(mins, 2 * params.k);
 
   MinimizerIndex idx;
   idx.params_ = params;
   for (std::size_t cid = 0; cid < ref.num_contigs(); ++cid)
     idx.contigs_.push_back({ref.contig(cid).name, ref.contig(cid).size()});
-  idx.entries_.reserve(raws.size());
+  idx.entries_.reserve(mins.size());
 
   // Count distinct keys and fill entries grouped by key.
   std::size_t distinct = 0;
-  for (std::size_t i = 0; i < raws.size(); ++i) {
-    if (i == 0 || raws[i].key != raws[i - 1].key) ++distinct;
-    idx.entries_.push_back(raws[i].entry);
+  for (std::size_t i = 0; i < mins.size(); ++i) {
+    if (i == 0 || mins[i].key != mins[i - 1].key) ++distinct;
+    idx.entries_.push_back(IndexEntry{mins[i].rid, mins[i].pos, mins[i].strand_rev});
   }
   idx.num_keys_ = distinct;
   idx.buckets_.assign(table_size_for(distinct), Bucket{});
 
   const std::size_t mask = idx.buckets_.size() - 1;
   std::size_t i = 0;
-  while (i < raws.size()) {
+  while (i < mins.size()) {
     std::size_t j = i;
-    while (j < raws.size() && raws[j].key == raws[i].key) ++j;
-    std::size_t slot = bucket_hash(raws[i].key) & mask;
+    while (j < mins.size() && mins[j].key == mins[i].key) ++j;
+    std::size_t slot = bucket_hash(mins[i].key) & mask;
     while (idx.buckets_[slot].key != ~0ULL) slot = (slot + 1) & mask;
-    idx.buckets_[slot] = Bucket{raws[i].key, i, static_cast<u32>(j - i)};
+    idx.buckets_[slot] = Bucket{mins[i].key, i, static_cast<u32>(j - i)};
     i = j;
   }
   return idx;
@@ -87,9 +99,9 @@ u32 MinimizerIndex::occurrence_cutoff(double frac) const {
   counts.reserve(num_keys_);
   for (const auto& b : buckets_)
     if (b.key != ~0ULL) counts.push_back(b.count);
-  std::sort(counts.begin(), counts.end());
   const std::size_t drop = static_cast<std::size_t>(frac * static_cast<double>(counts.size()));
   const std::size_t pos = counts.size() > drop ? counts.size() - 1 - drop : 0;
+  std::nth_element(counts.begin(), counts.begin() + static_cast<std::ptrdiff_t>(pos), counts.end());
   return std::max<u32>(counts[pos], 10);
 }
 

@@ -16,11 +16,18 @@ u64 invertible_hash(u64 key, u64 mask) {
 }
 
 std::vector<Minimizer> sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p) {
+  std::vector<Minimizer> out;
+  out.reserve(expected_minimizers(seq.size(), p));
+  sketch(seq, rid, p, out);
+  return out;
+}
+
+void sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p,
+            std::vector<Minimizer>& out) {
   MM_REQUIRE(p.k >= 4 && p.k <= 28, "k out of range");
   MM_REQUIRE(p.w >= 1 && p.w <= 256, "w out of range");
-  std::vector<Minimizer> out;
   const std::size_t n = seq.size();
-  if (n < p.k) return out;
+  if (n < p.k) return;
 
   const u64 mask = (1ULL << (2 * p.k)) - 1;
   const u32 shift = 2 * (p.k - 1);
@@ -33,6 +40,12 @@ std::vector<Minimizer> sketch(const std::vector<u8>& seq, u32 rid, const SketchP
     bool valid = false;
   };
   std::vector<Slot> ring(p.w);
+  // Ring index of the window minimum (smallest valid hash, ties broken by
+  // the rightmost position, as minimap2 prefers fresh seeds); p.w while
+  // the window holds no valid k-mer. The ring is rescanned only when the
+  // slot holding the minimum is overwritten, as in minimap2's mm_sketch.
+  u32 min_slot = p.w;
+  u32 slot = 0;  // ring slot of position i (i % w)
 
   u64 fwd = 0, rev = 0;
   u32 kmer_span = 0;  // consecutive non-N bases accumulated
@@ -65,24 +78,27 @@ std::vector<Minimizer> sketch(const std::vector<u8>& seq, u32 rid, const SketchP
       cur.rev = use_rev;
       cur.valid = true;
     }
-    ring[i % p.w] = cur;
-    // A full window ends at every position i >= k-1 + w-1.
-    if (i + 1 >= static_cast<std::size_t>(p.k) + p.w - 1) {
-      // Select the smallest valid hash in the window; ties broken by the
-      // rightmost position (matches minimap2's preference for fresh seeds).
-      const Slot* best = nullptr;
+    ring[slot] = cur;
+    if (slot == min_slot) {
+      // The minimum left the window: rescan every slot.
+      min_slot = p.w;
       for (u32 s = 0; s < p.w; ++s) {
         const Slot& c = ring[s];
         if (!c.valid) continue;
-        if (best == nullptr || c.hash < best->hash ||
-            (c.hash == best->hash && c.pos > best->pos)) {
-          best = &c;
+        if (min_slot == p.w || c.hash < ring[min_slot].hash ||
+            (c.hash == ring[min_slot].hash && c.pos > ring[min_slot].pos)) {
+          min_slot = s;
         }
       }
-      if (best != nullptr) emit(*best);
+    } else if (cur.valid && (min_slot == p.w || cur.hash <= ring[min_slot].hash)) {
+      min_slot = slot;  // the newest k-mer is the rightmost, so it wins ties
+    }
+    if (++slot == p.w) slot = 0;
+    // A full window ends at every position i >= k-1 + w-1.
+    if (i + 1 >= static_cast<std::size_t>(p.k) + p.w - 1 && min_slot != p.w) {
+      emit(ring[min_slot]);
     }
   }
-  return out;
 }
 
 }  // namespace manymap

@@ -32,4 +32,15 @@ u64 invertible_hash(u64 key, u64 mask);
 /// skipped. Returns minimizers ordered by position.
 std::vector<Minimizer> sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p);
 
+/// As above, appending to `out`, so several sequences can share one
+/// vector reserved with expected_minimizers().
+void sketch(const std::vector<u8>& seq, u32 rid, const SketchParams& p,
+            std::vector<Minimizer>& out);
+
+/// Capacity hint for the minimizers of `bases` bases: the expected density
+/// 2 / (w + 1) plus a quarter, so random-like sequence never regrows.
+inline std::size_t expected_minimizers(u64 bases, const SketchParams& p) {
+  return static_cast<std::size_t>(bases * 5 / (2 * (static_cast<u64>(p.w) + 1)) + 16);
+}
+
 }  // namespace manymap

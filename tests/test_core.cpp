@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
+#include "chain/anchor.hpp"
+#include "chain/chain.hpp"
 #include "core/accuracy.hpp"
 #include "core/aligner.hpp"
 #include "core/breakdown.hpp"
@@ -298,13 +301,125 @@ TEST(MapTimings, AccumulatesAutoBandCounters) {
   a.auto_band_kernels = 3;
   a.auto_band_full = 1;
   a.band_fallbacks = 2;
+  a.chains = 7;
+  a.chains_aligned = 2;
   b.auto_band_kernels = 5;
   b.auto_band_full = 4;
   b.band_fallbacks = 1;
+  b.chains = 11;
+  b.chains_aligned = 3;
   a += b;
   EXPECT_EQ(a.auto_band_kernels, 8u);
   EXPECT_EQ(a.auto_band_full, 5u);
   EXPECT_EQ(a.band_fallbacks, 3u);
+  EXPECT_EQ(a.chains, 18u);
+  EXPECT_EQ(a.chains_aligned, 5u);
+}
+
+// Chain selection: Mapper::map aligns the top chain and at most
+// max_mappings - 1 more scoring at least 4/5 of it, and MAPQ reads the two
+// best chain scores. Each read is re-chained through the public layer
+// calls to get the chains the mapper selected from.
+class ChainSelectionTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    GenomeParams g;  // long near-identical repeats: reads inside them keep secondaries
+    g.total_length = 300'000;
+    g.num_contigs = 2;
+    g.repeat_families = 4;
+    g.repeat_length = 6'000;
+    g.repeat_copies = 8;
+    g.repeat_divergence = 0.005;
+    g.seed = 2024;
+    ref_ = new Reference(generate_genome(g));
+    mapper_ = new Mapper(*ref_, MapOptions::map_pb());
+    ReadSimParams p;
+    p.num_reads = 40;
+    p.seed = 515;
+    reads_ = new std::vector<SimulatedRead>(ReadSimulator(*ref_, p).simulate());
+  }
+  static void TearDownTestSuite() {
+    delete reads_;
+    delete mapper_;
+    delete ref_;
+  }
+
+  static std::vector<Chain> chains_of(const Sequence& read) {
+    const MapOptions& opt = mapper_->options();
+    const auto mins = sketch(read.codes, 0, opt.sketch);
+    const auto anchors = collect_anchors(mapper_->index(), mins,
+                                         static_cast<u32>(read.size()), mapper_->max_occ());
+    return chain_anchors(anchors, opt.chain);
+  }
+  static bool meets_rule(i64 score, i64 top) { return 5 * score >= 4 * top; }
+  static u32 expected_mapq(const std::vector<Chain>& chains, const Mapping& m) {
+    if (!m.primary) return 0;
+    const double f1 = chains[0].score;
+    const double f2 = chains.size() > 1 ? chains[1].score : 0.0;
+    const double uniq = f1 > 0 ? 1.0 - f2 / f1 : 0.0;
+    const double cnt = std::min(1.0, static_cast<double>(m.cigar.ops().size() + 10) / 20.0);
+    return static_cast<u32>(std::clamp(60.0 * uniq * cnt, 0.0, 60.0));
+  }
+
+  /// Reads that exercise each side of the rule.
+  struct Coverage {
+    u32 kept_secondary = 0;  ///< a secondary met the rule and was aligned
+    u32 all_dropped = 0;     ///< several chains, only the top one aligned
+    u32 capped = 0;          ///< more chains met the rule than max_mappings
+  };
+
+  /// Maps every read with `call` and checks the selection contract.
+  static Coverage check_all(MapCall call) {
+    const u32 max_mappings = mapper_->options().max_mappings;
+    Coverage cov;
+    for (const auto& r : *reads_) {
+      const auto chains = chains_of(r.read);
+      MapTimings t;
+      call.timings = &t;
+      const auto maps = mapper_->map(r.read, call);
+      EXPECT_EQ(t.chains, chains.size());
+      EXPECT_EQ(t.chains_aligned, maps.size());
+      if (chains.empty()) {
+        EXPECT_TRUE(maps.empty());
+        continue;
+      }
+      std::size_t qualifying = 0;
+      for (const auto& c : chains) qualifying += meets_rule(c.score, chains[0].score);
+      EXPECT_EQ(maps.size(), std::min<std::size_t>(qualifying, max_mappings)) << r.read.name;
+      for (const auto& m : maps) {
+        EXPECT_TRUE(meets_rule(m.chain_score, chains[0].score)) << r.read.name;
+        EXPECT_EQ(m.mapq, expected_mapq(chains, m)) << r.read.name;
+      }
+      cov.kept_secondary += maps.size() > 1;
+      cov.all_dropped += chains.size() > 1 && maps.size() == 1;
+      cov.capped += qualifying > max_mappings;
+    }
+    return cov;
+  }
+
+  static Reference* ref_;
+  static Mapper* mapper_;
+  static std::vector<SimulatedRead>* reads_;
+};
+
+Reference* ChainSelectionTest::ref_ = nullptr;
+Mapper* ChainSelectionTest::mapper_ = nullptr;
+std::vector<SimulatedRead>* ChainSelectionTest::reads_ = nullptr;
+
+TEST_F(ChainSelectionTest, AlignsOnlyChainsWithinFourFifthsOfTheTop) {
+  const Coverage cov = check_all(MapCall{});
+  EXPECT_GT(cov.kept_secondary, 0u);
+  EXPECT_GT(cov.all_dropped, 0u);
+  EXPECT_GT(cov.capped, 0u);
+}
+
+TEST_F(ChainSelectionTest, ScoreOnlyModeSelectsTheSameChains) {
+  MapCall call;
+  call.score_only = true;
+  const Coverage cov = check_all(call);
+  EXPECT_GT(cov.kept_secondary, 0u);
+  EXPECT_GT(cov.all_dropped, 0u);
+  EXPECT_GT(cov.capped, 0u);
 }
 
 TEST(Options, CliNameHelpers) {

@@ -380,6 +380,32 @@ TEST(BatchMapper, InjectedStageOomIsSilentFallback) {
   EXPECT_GE(mapper.stats().stage_fallbacks, 1u);
 }
 
+TEST(BatchMapper, QueryThatDoesNotFitStagesNothing) {
+  // 2 streams x 512 bytes: the 300-byte target would fit, its query then
+  // would not, so neither slice is copied or counted.
+  GpuBatchConfig cfg = small_config();
+  cfg.staging_bytes = 1024;
+  GpuBatchMapper mapper(cfg);
+  const auto target = random_seq(14, 300);
+  const auto query = random_seq(15, 300);
+  DiffArgs a;
+  a.target = target.data();
+  a.tlen = 300;
+  a.query = query.data();
+  a.qlen = 300;
+  a.with_cigar = true;
+  const auto seg = mapper.align_segment(a, 0);
+  EXPECT_FALSE(seg.on_device);
+  EXPECT_FALSE(seg.launch_failed);
+  const auto stats = mapper.stats();
+  EXPECT_EQ(stats.staged_bytes, 0u);
+  EXPECT_EQ(stats.stage_fallbacks, 1u);
+  EXPECT_EQ(stats.device_kernels, 0u);
+  const AlignResult host = mapper.host_align(a);
+  EXPECT_EQ(seg.result.score, host.score);
+  EXPECT_EQ(seg.result.cigar, host.cigar);
+}
+
 TEST(BatchMapper, PlaceCountsDecisions) {
   GpuBatchMapper mapper(small_config());
   EXPECT_TRUE(mapper.place(uniform_lengths(8, 4000)).offload);

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
+#include <optional>
+#include <random>
 #include <set>
+#include <tuple>
 
 #include "index/hash_index.hpp"
 #include "index/index_io.hpp"
@@ -91,6 +96,62 @@ TEST(Minimizer, NBreaksKmers) {
   }
 }
 
+/// Brute-force sketch: hash every k-mer from scratch, then scan each full
+/// window for its smallest valid hash (ties to the rightmost position),
+/// suppressing consecutive duplicates.
+std::vector<Minimizer> sketch_by_window(const std::vector<u8>& seq, u32 rid,
+                                        const SketchParams& p) {
+  const std::size_t n = seq.size();
+  const u64 mask = (1ULL << (2 * p.k)) - 1;
+  std::vector<std::optional<Minimizer>> kmer(n);  // canonical k-mer ending at j
+  for (std::size_t j = p.k - 1; j < n; ++j) {
+    u64 fwd = 0, rev = 0;
+    bool has_n = false;
+    for (std::size_t x = j + 1 - p.k; x <= j; ++x) {
+      has_n |= seq[x] > 3;
+      fwd = (fwd << 2) | (seq[x] & 3);
+      rev |= static_cast<u64>(3 - (seq[x] & 3)) << (2 * (x + p.k - 1 - j));
+    }
+    if (has_n || fwd == rev) continue;
+    kmer[j] = Minimizer{invertible_hash(std::min(fwd, rev), mask), static_cast<u32>(j), rid,
+                        rev < fwd};
+  }
+  std::vector<Minimizer> out;
+  for (std::size_t i = p.k + p.w - 2; i < n; ++i) {
+    std::optional<Minimizer> best;
+    for (std::size_t j = i + 1 - p.w; j <= i; ++j) {
+      if (kmer[j] && (!best || kmer[j]->key <= best->key)) best = kmer[j];
+    }
+    if (best && (out.empty() || !(out.back() == *best))) out.push_back(*best);
+  }
+  return out;
+}
+
+TEST(Minimizer, MatchesBruteForceWindowScan) {
+  // Small alphabets force hash ties and palindromes; N runs break k-mers.
+  Rng rng(20241018);
+  for (int c = 0; c < 1000; ++c) {
+    SketchParams p;
+    p.k = static_cast<u32>(rng.uniform_range(4, 28));
+    p.w = std::array<u32, 4>{1, 2, 10, 256}[rng.uniform(4)];
+    std::vector<u8> letters = {0, 1, 2, 3};
+    std::shuffle(letters.begin(), letters.end(), std::mt19937_64(rng.next_u64()));
+    letters.resize(1 + rng.uniform(4));
+    std::vector<u8> seq(rng.uniform_range(1, 1200));
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      if (rng.bernoulli(0.005)) {
+        for (u64 r = 1 + rng.uniform(40); r > 0 && i < seq.size(); --r) seq[i++] = 4;
+        if (i == seq.size()) break;
+      }
+      seq[i] = letters[rng.uniform(letters.size())];
+    }
+    const u32 rid = static_cast<u32>(rng.uniform(3));
+    ASSERT_EQ(sketch(seq, rid, p), sketch_by_window(seq, rid, p))
+        << "case " << c << " k=" << p.k << " w=" << p.w << " len=" << seq.size()
+        << " letters=" << letters.size();
+  }
+}
+
 TEST(Minimizer, InvertibleHashIsBijectiveOnSmallDomain) {
   const u64 mask = (1ULL << 16) - 1;
   std::set<u64> seen;
@@ -142,6 +203,40 @@ TEST(HashIndex, OccurrenceCutoff) {
   const u32 cutoff = idx.occurrence_cutoff(2e-4);
   EXPECT_GE(cutoff, 10u);  // floor
   EXPECT_GT(idx.memory_bytes(), 0u);
+}
+
+TEST(HashIndex, BuildOrderAndCutoffMatchFullSorts) {
+  // Entries are in (key, rid, pos) order for every key width (k = 28 is
+  // 56 bits), and the cutoff is the count at its rank in sorted order.
+  GenomeParams g;
+  g.total_length = 120'000;
+  g.num_contigs = 3;
+  g.seed = 99;
+  const Reference ref = generate_genome(g);
+  for (const SketchParams p : {SketchParams{4, 1}, SketchParams{15, 10}, SketchParams{28, 5}}) {
+    std::vector<std::pair<u64, IndexEntry>> want;
+    for (u32 cid = 0; cid < ref.num_contigs(); ++cid)
+      for (const auto& m : sketch(ref.contig(cid).codes, cid, p))
+        want.push_back({m.key, IndexEntry{m.rid, m.pos, m.strand_rev}});
+    std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.first, a.second.rid, a.second.pos) <
+             std::tie(b.first, b.second.rid, b.second.pos);
+    });
+    const auto idx = MinimizerIndex::build(ref, p);
+    ASSERT_EQ(idx.entries().size(), want.size()) << "k=" << p.k;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(idx.entries()[i], want[i].second) << "k=" << p.k << " entry " << i;
+
+    std::vector<u32> counts;
+    for (const auto& b : idx.buckets())
+      if (b.count > 0) counts.push_back(b.count);
+    std::sort(counts.begin(), counts.end());
+    for (const double frac : {0.0, 2e-4, 0.01, 0.5}) {
+      const auto drop = static_cast<std::size_t>(frac * static_cast<double>(counts.size()));
+      EXPECT_EQ(idx.occurrence_cutoff(frac), std::max<u32>(counts[counts.size() - 1 - drop], 10))
+          << "k=" << p.k << " frac=" << frac;
+    }
+  }
 }
 
 TEST(IndexIo, RoundTripBothLoaders) {
