@@ -1,7 +1,7 @@
 // Hot-path allocation & direction-emission bench: proves the steady-state
 // alignment path performs ZERO heap allocations (score AND path mode) and
 // quantifies the ns/cell win from arena reuse + direct vector direction
-// stores. Covers every (family x layout x ISA) backend in both modes,
+// stores. Covers every (layout x ISA) diff backend in both modes,
 // fresh-workspace vs arena-reused, and emits BENCH_hotpath.json holding
 // the committed pre-change baseline, the current numbers and the speedup.
 // Path mode is additionally measured with diagonal-block dirs streaming
@@ -29,7 +29,6 @@
 #include "align/diff_common.hpp"
 #include "align/dirs_spill.hpp"
 #include "align/kernel_api.hpp"
-#include "align/twopiece.hpp"
 #include "base/random.hpp"
 #include "base/timer.hpp"
 #include "core/mapper.hpp"
@@ -58,14 +57,6 @@ const BaselineRow kBaseline[] = {
     {"diff manymap sse2 score", 0.2724},      {"diff manymap sse2 path", 0.6649},
     {"diff manymap avx2 score", 0.1212},      {"diff manymap avx2 path", 0.3985},
     {"diff manymap avx512 score", 0.1276},    {"diff manymap avx512 path", 0.3347},
-    {"twopiece minimap2 scalar score", 12.8275}, {"twopiece minimap2 scalar path", 14.0367},
-    {"twopiece minimap2 sse2 score", 0.6203},    {"twopiece minimap2 sse2 path", 1.3930},
-    {"twopiece minimap2 avx2 score", 0.3309},    {"twopiece minimap2 avx2 path", 0.6876},
-    {"twopiece minimap2 avx512 score", 0.3478},  {"twopiece minimap2 avx512 path", 0.5085},
-    {"twopiece manymap scalar score", 15.1481},  {"twopiece manymap scalar path", 13.9096},
-    {"twopiece manymap sse2 score", 0.5058},     {"twopiece manymap sse2 path", 0.9109},
-    {"twopiece manymap avx2 score", 0.2493},     {"twopiece manymap avx2 path", 0.5168},
-    {"twopiece manymap avx512 score", 0.2180},   {"twopiece manymap avx512 path", 0.4785},
 };
 
 double baseline_ns(const std::string& key) {
@@ -117,11 +108,10 @@ double time_ns_per_cell(Fn&& invoke, double min_seconds) {
   return t.seconds() * 1e9 / static_cast<double>(cells);
 }
 
-template <class Args, class Fn>
-Row bench_backend(const char* family, Layout layout, Isa isa, bool cigar,
-                  bool streamed, Fn fn, Args args, double min_seconds) {
+Row bench_backend(Layout layout, Isa isa, bool cigar, bool streamed, KernelFn fn,
+                  DiffArgs args, double min_seconds) {
   Row row;
-  row.family = family;
+  row.family = "diff";
   row.layout = to_string(layout);
   row.isa = to_string(isa);
   row.mode = streamed ? "path-stream" : (cigar ? "path" : "score");
@@ -176,25 +166,8 @@ void collect(const Workload& w, double min_seconds, std::vector<Row>& rows) {
           a.qlen = static_cast<i32>(w.query.size());
           a.mode = AlignMode::kGlobal;
           a.with_cigar = cigar;
-          rows.push_back(
-              bench_backend("diff", layout, isa, cigar, false, fn, a, min_seconds));
-          if (cigar)
-            rows.push_back(
-                bench_backend("diff", layout, isa, cigar, true, fn, a, min_seconds));
-        }
-        if (TwoPieceKernelFn fn = get_twopiece_kernel(layout, isa)) {
-          TwoPieceArgs a;
-          a.target = w.target.data();
-          a.tlen = static_cast<i32>(w.target.size());
-          a.query = w.query.data();
-          a.qlen = static_cast<i32>(w.query.size());
-          a.mode = AlignMode::kGlobal;
-          a.with_cigar = cigar;
-          rows.push_back(
-              bench_backend("twopiece", layout, isa, cigar, false, fn, a, min_seconds));
-          if (cigar)
-            rows.push_back(bench_backend("twopiece", layout, isa, cigar, true, fn, a,
-                                         min_seconds));
+          rows.push_back(bench_backend(layout, isa, cigar, false, fn, a, min_seconds));
+          if (cigar) rows.push_back(bench_backend(layout, isa, cigar, true, fn, a, min_seconds));
         }
       }
     }

@@ -1,24 +1,21 @@
-// Drive the SIMT device model directly: align a batch of sequence pairs
-// as GPU kernels, inspect the divergence/synchronization gap between the
-// Fig. 4a (minimap2) and Fig. 4b (manymap) kernel forms, and watch stream
-// concurrency and the memory-pool fallback in action.
+// Drive the SIMT device model: inspect the divergence/synchronization gap
+// between the Fig. 4a (minimap2) and Fig. 4b (manymap) kernel forms, push
+// a batch of sequence pairs through the offload subsystem across streams,
+// and map reads end to end with the device running the DP score passes.
 #include <cstdio>
 
 #include "base/random.hpp"
+#include "gpu/batch_mapper.hpp"
 #include "gpu/gpu_mapper.hpp"
-#include "simt/stream.hpp"
 #include "simulate/genome.hpp"
 #include "simulate/read_sim.hpp"
 
 using namespace manymap;
-using simt::BatchConfig;
-using simt::Device;
 using simt::DeviceSpec;
 
 int main() {
   Rng rng(301);
   const DeviceSpec spec = DeviceSpec::v100();
-  const Device device{spec};
   std::printf("device: %u SMs, %u max resident grids, %.0f KiB shared/block\n", spec.sm_count,
               spec.max_resident_grids, spec.shared_mem_per_block / 1024.0);
 
@@ -42,25 +39,37 @@ int main() {
                 static_cast<unsigned long long>(r.cost.divergent_branches));
   }
 
-  // A small batch across streams, with results verified on the host.
-  std::vector<simt::SequencePair> pairs(32);
-  for (auto& p : pairs) {
-    p.target.resize(800);
-    for (auto& b : p.target) b = rng.base();
-    p.query = p.target;
-    for (auto& b : p.query)
+  // A small batch across streams through the offload subsystem (staging,
+  // device score pass), with every score checked against the host kernel.
+  std::vector<std::vector<u8>> targets(32), queries(32);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    targets[i].resize(800);
+    for (auto& b : targets[i]) b = rng.base();
+    queries[i] = targets[i];
+    for (auto& b : queries[i])
       if (rng.bernoulli(0.1)) b = rng.base();
   }
-  BatchConfig cfg;
+  gpu::GpuBatchConfig cfg;
   cfg.num_streams = 16;
-  const auto report = simt::run_alignment_batch(device, pairs, ScoreParams{}, cfg);
-  std::printf("batch: %llu kernels on GPU, %llu CPU fallbacks, concurrency %u, "
+  gpu::GpuBatchMapper batch(cfg);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    DiffArgs pair;
+    pair.target = targets[i].data();
+    pair.tlen = static_cast<i32>(targets[i].size());
+    pair.query = queries[i].data();
+    pair.qlen = static_cast<i32>(queries[i].size());
+    const auto seg = batch.align_segment(pair, static_cast<u32>(i % cfg.num_streams));
+    if (seg.result.score != batch.config().host_kernel(pair).score)
+      std::printf("device score differs from the host kernel!\n");
+  }
+  const auto run = batch.flush();
+  const auto stats = batch.stats();
+  std::printf("batch: %llu kernels on device, %llu host segments, concurrency %u, "
               "%.2f simulated GCUPS\n",
-              static_cast<unsigned long long>(report.kernels_on_gpu),
-              static_cast<unsigned long long>(report.fallbacks_to_cpu),
-              report.achieved_concurrency, report.gcups());
-  for (const auto& r : report.results)
-    if (r.score <= 0) std::printf("unexpected non-positive score!\n");
+              static_cast<unsigned long long>(stats.device_kernels),
+              static_cast<unsigned long long>(stats.host_segments), run.achieved_concurrency,
+              run.seconds > 0 ? static_cast<double>(stats.device_cells) / run.seconds / 1e9
+                              : 0.0);
 
   // End-to-end offloaded mapping (§4.2): host seeds/chains/stitches, the
   // device runs the DP score passes and the host completes the paths;

@@ -83,7 +83,7 @@ void KernelArena::copy_sequences(const u8* target, i32 tlen, const u8* query, i3
   for (i32 j = 0; j < qlen; ++j) qr[qlen - 1 - j] = query[j];
 }
 
-void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twopiece) {
+void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout) {
   const std::size_t un = row_size(a.tlen);
   const std::size_t vn = vx_size(a.tlen, a.qlen, manymap_layout);
   const std::size_t tn = row_size(a.tlen);
@@ -102,7 +102,6 @@ void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twop
   u64 need = deficit(u_, un) + deficit(y_, un) + deficit(v_, vn) + deficit(x_, vn) +
              deficit(tp_, tn) + deficit(qr_, qn) + deficit(dirs_, dn) +
              deficit(diag_off_, on);
-  if (twopiece) need += deficit(y2_, un) + deficit(x2_, vn);
   if (need == 0) return;
 
   // Single hook call with the full deficit BEFORE any resize: if the fault
@@ -113,10 +112,6 @@ void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twop
   grow(y_, un);
   grow(v_, vn);
   grow(x_, vn);
-  if (twopiece) {
-    grow(y2_, un);
-    grow(x2_, vn);
-  }
   grow(tp_, tn);
   grow(qr_, qn);
   grow(dirs_, dn);
@@ -124,45 +119,13 @@ void KernelArena::reserve_diff(const DiffArgs& a, bool manymap_layout, bool twop
 }
 
 DiffWorkspace KernelArena::prepare_diff(const DiffArgs& a, bool manymap_layout) {
-  reserve_diff(a, manymap_layout, /*twopiece=*/false);
+  reserve_diff(a, manymap_layout);
   copy_sequences(a.target, a.tlen, a.query, a.qlen);
   DiffWorkspace ws;
   ws.U = u_.data();
   ws.Y = y_.data();
   ws.V = v_.data();
   ws.X = x_.data();
-  ws.tp = tp_.data();
-  ws.qr = qr_.data();
-  if (a.with_cigar) {
-    refresh_diag_off(a.tlen, a.qlen, a.band);
-    ws.diag_off = diag_off_.data();
-    if (a.spill != nullptr)
-      ws.stream = init_stream(a.tlen, a.qlen, a.spill, a.spill_block_rows, a.band);
-    else
-      ws.dirs = dirs_.data();
-  }
-  return ws;
-}
-
-TwoPieceWorkspace KernelArena::prepare_twopiece(const TwoPieceArgs& a, bool manymap_layout) {
-  DiffArgs sized;
-  sized.target = a.target;
-  sized.tlen = a.tlen;
-  sized.query = a.query;
-  sized.qlen = a.qlen;
-  sized.with_cigar = a.with_cigar;
-  sized.spill = a.spill;
-  sized.spill_block_rows = a.spill_block_rows;
-  sized.band = a.band;
-  reserve_diff(sized, manymap_layout, /*twopiece=*/true);
-  copy_sequences(a.target, a.tlen, a.query, a.qlen);
-  TwoPieceWorkspace ws;
-  ws.U = u_.data();
-  ws.Y1 = y_.data();
-  ws.Y2 = y2_.data();
-  ws.V = v_.data();
-  ws.X1 = x_.data();
-  ws.X2 = x2_.data();
   ws.tp = tp_.data();
   ws.qr = qr_.data();
   if (a.with_cigar) {
@@ -191,13 +154,13 @@ DirsStream* KernelArena::init_stream(i32 tlen, i32 qlen, DirsSpill* spill,
 }
 
 u64 KernelArena::reserved_bytes() const {
-  return u_.size() + y_.size() + y2_.size() + v_.size() + x_.size() + x2_.size() +
-         tp_.size() + qr_.size() + dirs_.size() + diag_off_.size() * sizeof(u64);
+  return u_.size() + y_.size() + v_.size() + x_.size() + tp_.size() + qr_.size() +
+         dirs_.size() + diag_off_.size() * sizeof(u64);
 }
 
 void KernelArena::poison(u8 byte) {
   const i8 sbyte = static_cast<i8>(byte);
-  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_})
+  for (auto* b : {&u_, &y_, &v_, &x_})
     std::fill(b->begin(), b->end(), sbyte);
   std::fill(tp_.begin(), tp_.end(), byte);
   std::fill(qr_.begin(), qr_.end(), byte);
@@ -209,7 +172,7 @@ void KernelArena::poison(u8 byte) {
 }
 
 void KernelArena::release() {
-  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_}) {
+  for (auto* b : {&u_, &y_, &v_, &x_}) {
     b->clear();
     b->shrink_to_fit();
   }
@@ -245,7 +208,7 @@ u64 KernelArena::trim(u64 max_bytes) {
                          }});
   };
   add(dirs_);
-  for (auto* b : {&u_, &y_, &y2_, &v_, &x_, &x2_}) add(*b);
+  for (auto* b : {&u_, &y_, &v_, &x_}) add(*b);
   add(tp_);
   add(qr_);
   std::sort(victims.begin(), victims.end(),

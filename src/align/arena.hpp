@@ -6,9 +6,9 @@
 // buffers whose capacity is high-water-marked per thread, so steady-state
 // alignment performs ZERO heap allocations and ZERO memsets:
 //
-//  - U/Y/V/X (and the two-piece Y2/X2) are handed back dirty. Every valid
-//    cell of the anti-diagonal trapezoid is boundary-injected or written
-//    by the kernel before any valid lane reads it; SIMD overrun lanes
+//  - U/Y/V/X are handed back dirty. Every valid cell of the
+//    anti-diagonal trapezoid is boundary-injected or written by the
+//    kernel before any valid lane reads it; SIMD overrun lanes
 //    beyond a diagonal's end only ever read and write slots that are dead
 //    for the rest of the alignment (re-injected at the next diagonal or
 //    inside the kLanePad tail), so stale bytes can never reach a result.
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "align/kernel_api.hpp"
-#include "align/twopiece.hpp"
 
 namespace manymap {
 
@@ -101,21 +100,6 @@ struct DiffWorkspace {
   DirsStream* stream = nullptr;   ///< non-null in streaming path mode
 };
 
-/// Two-piece analogue: two difference rows per gap direction.
-struct TwoPieceWorkspace {
-  i8* U = nullptr;
-  i8* Y1 = nullptr;
-  i8* Y2 = nullptr;
-  i8* V = nullptr;
-  i8* X1 = nullptr;
-  i8* X2 = nullptr;
-  const u8* tp = nullptr;
-  const u8* qr = nullptr;
-  u8* dirs = nullptr;
-  const u64* diag_off = nullptr;
-  DirsStream* stream = nullptr;
-};
-
 class KernelArena {
  public:
   KernelArena() = default;
@@ -127,7 +111,6 @@ class KernelArena {
   /// allocation path; reports through check_dp_alloc) and refreshes the
   /// sequence copies; everything else is reused dirty.
   DiffWorkspace prepare_diff(const DiffArgs& a, bool manymap_layout);
-  TwoPieceWorkspace prepare_twopiece(const TwoPieceArgs& a, bool manymap_layout);
 
   /// Number of buffer growth events since construction (0 in steady state).
   u64 growth_events() const { return growth_events_; }
@@ -170,7 +153,7 @@ class KernelArena {
   /// Grow sequence/DP/dirs buffers to the requested sizes, charging the
   /// true footprint of every grown buffer to check_dp_alloc first (so an
   /// injected failure leaves the arena unchanged).
-  void reserve_diff(const DiffArgs& a, bool manymap_layout, bool twopiece);
+  void reserve_diff(const DiffArgs& a, bool manymap_layout);
   void copy_sequences(const u8* target, i32 tlen, const u8* query, i32 qlen);
 
   template <class T>
@@ -185,7 +168,7 @@ class KernelArena {
     }
   }
 
-  std::vector<i8> u_, y_, y2_, v_, x_, x2_;
+  std::vector<i8> u_, y_, v_, x_;
   std::vector<u8> tp_, qr_, dirs_;
   std::vector<u64> diag_off_;
   i32 off_tlen_ = -1, off_qlen_ = -1, off_band_ = -1;  ///< cached diag_off key

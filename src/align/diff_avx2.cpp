@@ -54,16 +54,3 @@ AlignResult align_avx2_manymap(const DiffArgs& a) { return simd_align<VecAvx2, t
 
 }  // namespace detail
 }  // namespace manymap
-
-#include "align/twopiece_simd_impl.hpp"
-
-namespace manymap {
-
-AlignResult twopiece_align_avx2_mm2(const TwoPieceArgs& a) {
-  return detail::twopiece_simd_align<detail::VecAvx2, false>(a);
-}
-AlignResult twopiece_align_avx2_manymap(const TwoPieceArgs& a) {
-  return detail::twopiece_simd_align<detail::VecAvx2, true>(a);
-}
-
-}  // namespace manymap

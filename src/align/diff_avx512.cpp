@@ -62,16 +62,3 @@ AlignResult align_avx512_manymap(const DiffArgs& a) { return simd_align<VecAvx51
 
 }  // namespace detail
 }  // namespace manymap
-
-#include "align/twopiece_simd_impl.hpp"
-
-namespace manymap {
-
-AlignResult twopiece_align_avx512_mm2(const TwoPieceArgs& a) {
-  return detail::twopiece_simd_align<detail::VecAvx512, false>(a);
-}
-AlignResult twopiece_align_avx512_manymap(const TwoPieceArgs& a) {
-  return detail::twopiece_simd_align<detail::VecAvx512, true>(a);
-}
-
-}  // namespace manymap

@@ -109,11 +109,11 @@ inline constexpr u8 kExtDel = 1 << 2;
 inline constexpr u8 kExtIns = 1 << 3;
 
 /// Sentinel stored in dirs rows for statically-in-band cells the zdrop
-/// shrink skipped; never a legal direction byte in either gap model.
+/// shrink skipped; never a legal direction byte.
 /// Backtrack treats it exactly like an out-of-band cell (BandHitError).
 inline constexpr u8 kDirPruned = 0xFF;
 
-/// One-piece backtrack state machine over any direction-byte accessor
+/// Backtrack state machine over any direction-byte accessor
 /// `dir_at(i, j) -> u8`, starting at (i_end, j_end) and walking to (0,0).
 /// Shared by the resident path (contiguous dirs + diag_off) and the
 /// streaming path (windowed reads over a DirsSpill sink).
@@ -164,8 +164,7 @@ Cigar backtrack_ws(const DiffWorkspace& ws, i32 tlen, i32 qlen, i32 i_end, i32 j
 /// Direction row pointer for diagonal r: resident rows live at
 /// diag_off[r]; streamed rows come from the block cursor (which spills a
 /// finished block when the new row does not fit). nullptr in score mode.
-template <class WS>
-inline u8* dirs_row(const WS& ws, i32 r) {
+inline u8* dirs_row(const DiffWorkspace& ws, i32 r) {
   if (ws.stream != nullptr) return ws.stream->row(r);
   return ws.dirs != nullptr ? ws.dirs + ws.diag_off[static_cast<std::size_t>(r)]
                             : nullptr;
@@ -201,13 +200,11 @@ struct BorderTracker {
   BestCell best;
   i32 tlen, qlen;
 
+  /// Both borders start at H(0,-1) = H(-1,0) = -(q+e), the cost of a
+  /// single leading gap base.
   BorderTracker(i32 tl, i32 ql, const ScoreParams& p)
-      : BorderTracker(tl, ql, -(static_cast<i64>(p.gap_open) + p.gap_ext)) {}
-
-  /// `h_init` = H(0,-1) = H(-1,0): cost of a single leading gap base
-  /// (negative). Lets alternative gap models reuse the tracker.
-  BorderTracker(i32 tl, i32 ql, i64 h_init)
-      : h_bot(h_init), h_top(h_init), tlen(tl), qlen(ql) {}
+      : h_bot(-(static_cast<i64>(p.gap_open) + p.gap_ext)), h_top(h_bot), tlen(tl),
+        qlen(ql) {}
 
   /// After diagonal r is computed: `u_en` = U[en] written this diagonal,
   /// `v_en` = v written this diagonal at t=en, `v_st` = v written at t=st,
@@ -244,7 +241,11 @@ struct BorderTracker {
 /// the edge-lane cell of its departure diagonal (edges move by at most
 /// one lane per diagonal, and path lanes are non-decreasing), its prefix
 /// score there is bounded by the confined edge H, and any continuation
-/// gains at most `match` per remaining min(rows, cols). `hit()` uses >=
+/// gains at most `match` per remaining min(rows, cols). A path can also
+/// run along the implicit border (first column / top row) and enter the
+/// matrix outside the band; begin_diagonal bounds that entry, and the
+/// exit off an edge that was itself on the border, when the band first
+/// uncovers the border-adjacent cell. `hit()` uses >=
 /// so score TIES with a potentially-escaping path also force the full
 /// rerun — that is what makes "no flag → bit-identical to full kernels,
 /// end cell and CIGAR tie-breaks included" hold.
@@ -254,6 +255,8 @@ struct BandTracker {
   i32 tlen, qlen, band, zdrop;
   bool global;
   i64 match;        ///< best per-cell gain, for the escape bound
+  i64 gap_ext;      ///< e, for the border H values
+  i64 h_init;       ///< -(q+e) = H(0,-1) = H(-1,0)
   i32 lo = 0, hi = 0;    ///< live lane interval of the current diagonal
   i32 blo = 0, bhi = 0;  ///< static band bounds of the current diagonal
   bool lo_adv = true, hi_adv = true;  ///< edge transition vs previous diag
@@ -265,11 +268,12 @@ struct BandTracker {
   bool dead = false;  ///< zdrop emptied the live interval; stop the DP
   BestCell best;
 
-  BandTracker(i32 tl, i32 ql, i32 bw, i32 zd, AlignMode mode, i64 match_score,
-              i64 h_init)
-      : tlen(tl), qlen(ql), band(bw), zdrop(zd),
-        global(mode == AlignMode::kGlobal), match(match_score), h_lo(h_init),
-        h_hi(h_init), best_seen(h_init) {}
+  /// Both edges start at -(q+e), as BorderTracker's borders do.
+  BandTracker(i32 tl, i32 ql, i32 bw, i32 zd, AlignMode mode, const ScoreParams& p)
+      : tlen(tl), qlen(ql), band(bw), zdrop(zd), global(mode == AlignMode::kGlobal),
+        match(p.match), gap_ext(p.gap_ext),
+        h_init(-(static_cast<i64>(p.gap_open) + p.gap_ext)), h_lo(h_init), h_hi(h_init),
+        best_seen(h_init) {}
 
   /// Advance to diagonal r: refresh the static bounds, clip the live
   /// interval and classify both edge transitions. Returns false when the
@@ -295,8 +299,26 @@ struct BandTracker {
     lo_adv = lo != plo;
     hi_adv = hi != phi;
     cells += static_cast<u64>(hi - lo + 1);
+    // The band just uncovered a first-column cell (r, 0) or a top-row
+    // cell (0, r). The edge ledger in after_diagonal only sees edges that
+    // already sit inside a diagonal, so record both ways into that cell
+    // here: the step off the previous edge (which was on the border), and
+    // an M step straight off the implicit border H(r-1,-1) = H(-1,r-1),
+    // a path that never touches the band.
+    if (!hi_adv && phi == r - 1 && r < tlen) {
+      ledger = std::max(ledger, h_hi + match * std::min(tlen - r, qlen - 1));
+      ledger = std::max(ledger, border_entry(r) + match * std::min(tlen - 1 - r, qlen - 1));
+    }
+    if (lo_adv && plo == 0 && r < qlen) {
+      ledger = std::max(ledger, h_lo + match * std::min(tlen - 1, qlen - r));
+      ledger = std::max(ledger, border_entry(r) + match * std::min(tlen - 1, qlen - 1 - r));
+    }
     return true;
   }
+
+  /// Best H an M step off the implicit border can bring into a cell on
+  /// diagonal r: H(r-1,-1) + match, with H(k,-1) = -(q + (k+1)e).
+  i64 border_entry(i32 r) const { return h_init - static_cast<i64>(r - 1) * gap_ext + match; }
 
   /// After diagonal r is computed: u/v written this diagonal at the live
   /// edge lanes (the caller resolves the layout's v slot mapping).

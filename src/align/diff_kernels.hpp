@@ -3,20 +3,8 @@
 #pragma once
 
 #include "align/kernel_api.hpp"
-#include "align/twopiece.hpp"
 
 namespace manymap {
-
-// Two-piece wide-vector kernels (defined in the per-ISA TUs).
-#if MANYMAP_HAVE_AVX2_KERNELS
-AlignResult twopiece_align_avx2_mm2(const TwoPieceArgs& a);
-AlignResult twopiece_align_avx2_manymap(const TwoPieceArgs& a);
-#endif
-#if MANYMAP_HAVE_AVX512_KERNELS
-AlignResult twopiece_align_avx512_mm2(const TwoPieceArgs& a);
-AlignResult twopiece_align_avx512_manymap(const TwoPieceArgs& a);
-#endif
-
 namespace detail {
 
 AlignResult align_scalar_mm2(const DiffArgs& a);

@@ -105,8 +105,7 @@ AlignResult scalar_mm2_impl(const DiffArgs& a) {
   const u8* T = ws.tp;
   const u8* Qr = ws.qr;
   [[maybe_unused]] BorderTracker track(tlen, qlen, a.params);
-  [[maybe_unused]] BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode,
-                                      a.params.match, -static_cast<i64>(c.qe));
+  [[maybe_unused]] BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode, a.params);
 
   for (i32 r = 0; r < tlen + qlen - 1; ++r) {
     const i32 st = diag_start(r, qlen);
@@ -211,8 +210,7 @@ AlignResult scalar_manymap_impl(const DiffArgs& a) {
   const u8* T = ws.tp;
   const u8* Qr = ws.qr;
   [[maybe_unused]] BorderTracker track(tlen, qlen, a.params);
-  [[maybe_unused]] BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode,
-                                      a.params.match, -static_cast<i64>(c.qe));
+  [[maybe_unused]] BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode, a.params);
 
   for (i32 r = 0; r < tlen + qlen - 1; ++r) {
     const i32 st = diag_start(r, qlen);

@@ -74,9 +74,7 @@ AlignResult simd_align_impl(const DiffArgs& a) {
   const vec ext_ins_v = VT::set1(static_cast<i8>(kExtIns));
 
   [[maybe_unused]] BorderTracker track(tlen, qlen, a.params);
-  [[maybe_unused]] BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode,
-                                      a.params.match,
-                                      -static_cast<i64>(q + e));
+  [[maybe_unused]] BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode, a.params);
 
   for (i32 r = 0; r < tlen + qlen - 1; ++r) {
     const i32 st = diag_start(r, qlen);

@@ -5,7 +5,6 @@
 
 #include "align/diff_kernels.hpp"
 #include "align/diff_simd_impl.hpp"
-#include "align/twopiece_simd_impl.hpp"
 
 namespace manymap {
 namespace detail {
@@ -58,12 +57,4 @@ AlignResult align_sse2_mm2(const DiffArgs& a) { return simd_align<VecSse2, false
 AlignResult align_sse2_manymap(const DiffArgs& a) { return simd_align<VecSse2, true>(a); }
 
 }  // namespace detail
-
-AlignResult twopiece_align_sse2_mm2(const TwoPieceArgs& a) {
-  return detail::twopiece_simd_align<detail::VecSse2, false>(a);
-}
-AlignResult twopiece_align_sse2_manymap(const TwoPieceArgs& a) {
-  return detail::twopiece_simd_align<detail::VecSse2, true>(a);
-}
-
 }  // namespace manymap

@@ -36,35 +36,6 @@ KernelFn get_diff_kernel(Layout layout, Isa isa) {
   return nullptr;
 }
 
-TwoPieceKernelFn get_twopiece_kernel(Layout layout, Isa isa) {
-  const auto& f = cpu_features();
-  switch (isa) {
-    case Isa::kScalar:
-      return layout == Layout::kMinimap2 ? twopiece_align_mm2 : twopiece_align_manymap;
-    case Isa::kSse2:
-      if (!f.sse2) return nullptr;
-      return layout == Layout::kMinimap2 ? twopiece_align_sse2_mm2
-                                         : twopiece_align_sse2_manymap;
-    case Isa::kAvx2:
-#if MANYMAP_HAVE_AVX2_KERNELS
-      if (!f.avx2) return nullptr;
-      return layout == Layout::kMinimap2 ? twopiece_align_avx2_mm2
-                                         : twopiece_align_avx2_manymap;
-#else
-      return nullptr;
-#endif
-    case Isa::kAvx512:
-#if MANYMAP_HAVE_AVX512_KERNELS
-      if (!f.avx512bw) return nullptr;
-      return layout == Layout::kMinimap2 ? twopiece_align_avx512_mm2
-                                         : twopiece_align_avx512_manymap;
-#else
-      return nullptr;
-#endif
-  }
-  return nullptr;
-}
-
 std::vector<Isa> available_isas() {
   std::vector<Isa> isas{Isa::kScalar};
   for (Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512})

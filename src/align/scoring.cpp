@@ -1,6 +1,5 @@
 #include "align/scoring.hpp"
 
-// Header-only logic; this TU exists so the library has a home for future
-// scoring extensions (e.g. two-piece gap costs) and to anchor the vtable-
-// free inline functions for debug builds.
+// ScoreParams and ScoreMatrix are header-only; this TU compiles the header
+// on its own as part of mm_align, so it stays self-contained.
 namespace manymap {}

@@ -18,9 +18,14 @@ Aligner::BatchResult Aligner::map_reads(std::vector<Sequence> reads, PipelineKin
   std::map<u64, std::string> chunks;
   OutputSink sink = [&](u64 batch_id, const std::vector<std::string>& lines) {
     std::string blob;
-    for (const auto& l : lines) blob += l;
+    u64 mapped = 0;
+    for (const auto& l : lines) {
+      blob += l;
+      mapped += l.empty() ? 0 : 1;
+    }
     std::lock_guard lock(out_mu);
     chunks.emplace(batch_id, std::move(blob));
+    result.mapped += mapped;
   };
 
   PipelineOptions opt;

@@ -30,6 +30,7 @@ class Aligner {
 
   struct BatchResult {
     std::string paf;  ///< PAF lines for all reads, input order
+    u64 mapped = 0;   ///< reads with at least one PAF line
     PipelineStats stats;
   };
 

@@ -29,7 +29,7 @@ struct MapOptions {
   /// secondaries scoring at least 0.8x it (Mapper::map selects chains
   /// before aligning them).
   u32 max_mappings = 5;
-  /// Static band half-width for the diff/two-piece kernels (--band N);
+  /// Static band half-width for the diff kernels (--band N);
   /// 0 (the default) is unbanded. A banded run is exact whenever the
   /// optimum stays in band; when a kernel flags band_hit the mapper reruns
   /// that call unbanded, so results never depend on the band.

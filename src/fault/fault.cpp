@@ -88,7 +88,7 @@ const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> kSites = {
       "align.dirs.spill",        // streamed dirs block handoff to a spill sink
       "align.dirs.spill_io",     // temp-file spill read/write
-      "align.dp.alloc",          // DP workspace allocation (diff + twopiece)
+      "align.dp.alloc",          // DP workspace allocation (kernel arena growth)
       "gpu.launch",              // device kernel launch (offload subsystem)
       "gpu.stage_oom",           // pinned-style host staging allocation
       "index.corrupt",           // forced checksum mismatch after validation
@@ -104,7 +104,6 @@ const std::vector<std::string>& known_sites() {
       "service.queue.delay",     // scheduler -> shard queue handoff (delay only)
       "service.worker.compute",  // worker per-request compute
       "simt.pool.alloc",         // SIMT memory pool (native nullopt failure)
-      "simt.stream.launch",      // SIMT stream launch (native fallback path)
   };
   return kSites;
 }

@@ -80,8 +80,15 @@ GpuBatchMapper::SegmentResult GpuBatchMapper::align_segment(const DiffArgs& a,
   dev.with_cigar = false;
   dev.spill = nullptr;
   dev.spill_block_rows = 0;
-  simt::GpuAlignResult gpu =
-      simt::gpu_align(dev, cfg_.layout, device_.spec(), cfg_.threads_per_block);
+  simt::GpuAlignResult gpu;
+  try {
+    gpu = simt::gpu_align(dev, cfg_.layout, device_.spec(), cfg_.threads_per_block);
+  } catch (...) {
+    // Drop the reservation on a throw too (an injected arena fault):
+    // a shared partition resets only once every reservation is released.
+    staging_.release(stream);
+    throw;
+  }
   occupancy_.record_launch(gpu.cost);
   device_kernels_.fetch_add(1, std::memory_order_relaxed);
   device_cells_.fetch_add(cells, std::memory_order_relaxed);

@@ -33,7 +33,8 @@ struct GpuBatchConfig {
   Layout layout = Layout::kManymap;
   u32 threads_per_block = 512;
   /// Host staging streams; service workers are assigned one each
-  /// (round-robin) so concurrent batches use distinct partitions.
+  /// (round-robin). Workers beyond the stream count share a stream's
+  /// partition (see StagingArea::release).
   u32 num_streams = 8;
   u64 staging_bytes = u64{64} << 20;
   /// DP segments below this many cells stay on the host: a launch would
@@ -79,8 +80,9 @@ class GpuBatchMapper {
   PlacementDecision place(const std::vector<u32>& read_lengths, i32 band_hint = 0);
 
   /// Align one DP segment on the device path bound to `stream` (taken
-  /// modulo the configured stream count). Never throws for device-side
-  /// failures — every failure mode answers via the host kernel.
+  /// modulo the configured stream count). Thread-safe, also for callers
+  /// that share a stream. Never throws for device-side failures — every
+  /// failure mode answers via the host kernel.
   SegmentResult align_segment(const DiffArgs& args, u32 stream);
 
   /// Plain host-kernel alignment (the fallback rung; also used to finish

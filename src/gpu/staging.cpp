@@ -8,7 +8,7 @@ namespace manymap {
 namespace gpu {
 
 StagingArea::StagingArea(u64 total_bytes, u32 num_streams)
-    : buffer_(total_bytes), pool_(total_bytes, num_streams) {}
+    : buffer_(total_bytes), pool_(total_bytes, num_streams), live_(pool_.num_streams(), 0) {}
 
 std::optional<StagingArea::Slot> StagingArea::stage(u32 stream, const u8* data,
                                                     u64 bytes) {
@@ -42,13 +42,15 @@ std::optional<std::pair<StagingArea::Slot, StagingArea::Slot>> StagingArea::stag
     staged_bytes_ += bytes;
     return slot;
   };
+  ++live_[stream];
   return std::pair{fill(*offset, first, first_bytes),
                    fill(*offset + second_at, second, second_bytes)};
 }
 
 void StagingArea::release(u32 stream) {
   std::lock_guard lock(mu_);
-  pool_.reset(stream);
+  MM_REQUIRE(live_[stream] > 0, "staging release without a live reservation");
+  if (--live_[stream] == 0) pool_.reset(stream);
 }
 
 u64 StagingArea::bytes_in_use(u32 stream) const {

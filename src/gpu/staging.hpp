@@ -2,8 +2,9 @@
 // stream owns a fixed partition of one preallocated host buffer and reads
 // are bump-copied into it before their kernels launch, so the transfer
 // path never allocates per kernel and a stream's staging is released in
-// one reset once its kernel completes. Offsets come from simt::MemoryPool
-// (the same per-stream bump discipline the device side uses); exhaustion
+// one reset once its last live reservation is released. Offsets come
+// from simt::MemoryPool (the same per-stream bump discipline the device
+// side uses); exhaustion
 // of a partition is a native failure path — the caller falls back to the
 // CPU kernel for that segment. The "gpu.stage_oom" fault site forces that
 // failure deterministically for chaos testing.
@@ -45,7 +46,10 @@ class StagingArea {
                                                   u64 first_bytes, const u8* second,
                                                   u64 second_bytes);
 
-  /// Release everything staged in the stream's partition.
+  /// Release one reservation made by a successful stage() / stage_pair()
+  /// on `stream`. The partition resets once its last live reservation is
+  /// released, so callers that share a stream never lose slices a peer's
+  /// kernel still reads.
   void release(u32 stream);
 
   u32 num_streams() const { return pool_.num_streams(); }
@@ -59,6 +63,7 @@ class StagingArea {
   mutable std::mutex mu_;  ///< MemoryPool counters are not thread-safe
   std::vector<u8> buffer_; ///< the pinned-style host allocation
   simt::MemoryPool pool_;
+  std::vector<u32> live_;  ///< live reservations per stream
   u64 staged_bytes_ = 0;
   u64 stage_failures_ = 0;
 };

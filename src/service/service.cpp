@@ -510,9 +510,11 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
   // allocation-free. Dies with the worker (a respawned worker warms its
   // own), so a batch takeover never shares buffers across threads.
   detail::KernelArena arena;
-  // Every worker is GPU-capable when offload is enabled; each gets its own
-  // staging stream (round-robin at spawn) so concurrent batches stage into
-  // distinct partitions of the shared staging area.
+  // Every worker is GPU-capable when offload is enabled and takes a
+  // staging stream round-robin at spawn. Workers beyond the stream count
+  // (and a respawned worker whose stalled predecessor still runs) share a
+  // stream's partition, which resets only when its last staged segment is
+  // released (StagingArea::release).
   const u32 gpu_stream =
       gpu_ ? gpu_stream_next_.fetch_add(1, std::memory_order_relaxed) % cfg_.gpu.batch.num_streams
            : 0;

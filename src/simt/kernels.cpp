@@ -97,8 +97,7 @@ GpuAlignResult gpu_align(const DiffArgs& a, Layout layout, const DeviceSpec& spe
   // instead of the full diagonal — only in-band lanes are staged and
   // computed on the device, exactly like the CPU kernels' banded variants.
   const bool banded = a.band > 0;
-  detail::BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode, a.params.match,
-                             -static_cast<i64>(qe));
+  detail::BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode, a.params);
   // Per-lane registers for the read phase.
   std::vector<i8> vt_reg(threads), xt_reg(threads), ut_reg(threads), yt_reg(threads);
 
@@ -257,245 +256,6 @@ GpuAlignResult gpu_align(const DiffArgs& a, Layout layout, const DeviceSpec& spe
   if (a.with_cigar)
     out.result.cigar =
         detail::backtrack(ws.dirs, ws.diag_off, tlen, qlen, out.result.t_end, out.result.q_end);
-  out.cost = block.cost();
-  return out;
-}
-
-GpuAlignResult gpu_align_twopiece(const TwoPieceArgs& a, Layout layout,
-                                  const DeviceSpec& spec, u32 threads) {
-  GpuAlignResult out;
-  MM_REQUIRE(!a.with_cigar, "device two-piece kernel is score-mode only");
-  if (a.tlen == 0 || a.qlen == 0) {
-    // Mirrors the CPU kernels' degenerate handling (twopiece.cpp).
-    if (a.mode == AlignMode::kExtension) return out;
-    const i32 n = a.tlen > 0 ? a.tlen : a.qlen;
-    if (n == 0) return out;
-    out.result.score = -a.params.gap_cost(static_cast<u64>(n));
-    out.result.t_end = a.tlen - 1;
-    out.result.q_end = a.qlen - 1;
-    return out;
-  }
-  MM_REQUIRE(threads > 0 && threads <= spec.max_block_threads, "bad thread count");
-  MM_REQUIRE(a.params.fits_int8(), "scores too large for int8 difference kernels");
-
-  const i32 tlen = a.tlen, qlen = a.qlen;
-  const auto& p = a.params;
-  const i32 q1 = p.gap_open1, e1 = p.gap_ext1, q2 = p.gap_open2, e2 = p.gap_ext2;
-  const bool manymap_layout = layout == Layout::kManymap;
-
-  detail::KernelArena local;
-  detail::KernelArena& arena = a.arena != nullptr ? *a.arena : local;
-  const detail::TwoPieceWorkspace ws = arena.prepare_twopiece(a, manymap_layout);
-  i8* U = ws.U;
-  i8* Y1 = ws.Y1;
-  i8* Y2 = ws.Y2;
-  i8* V = ws.V;
-  i8* X1 = ws.X1;
-  i8* X2 = ws.X2;
-  const u8* T = ws.tp;
-  const u8* Qr = ws.qr;
-
-  // Six difference arrays (two per gap piece and direction) plus the
-  // sequence tiles; shared memory if they fit, else global (§4.5.2).
-  const u64 array_bytes = 6ULL * (static_cast<u64>(std::max(tlen, qlen)) + 1) +
-                          static_cast<u64>(tlen) + 2ULL * static_cast<u64>(qlen);
-  const bool shared = array_bytes <= spec.shared_mem_per_block;
-  const u64 global_bytes = 6ULL * (static_cast<u64>(std::max(tlen, qlen)) + 1) +
-                           static_cast<u64>(tlen) + static_cast<u64>(qlen) + 4096;
-  Block block(threads, spec);
-  block.set_footprint(shared ? array_bytes : 0, global_bytes);
-  out.used_shared = shared;
-
-  auto boundary_delta = [&](i32 j) -> i8 {
-    if (j == 0) return static_cast<i8>(-p.gap_cost(1));
-    return static_cast<i8>(-(p.gap_cost(static_cast<u64>(j) + 1) -
-                             p.gap_cost(static_cast<u64>(j))));
-  };
-
-  detail::BorderTracker track(tlen, qlen, -p.gap_cost(1));
-  // Banded runs confine each diagonal to the BandTracker's live interval;
-  // wall injections use the two-piece minimum legal diffs, mirroring the
-  // CPU twopiece banded kernels.
-  const bool banded = a.band > 0;
-  detail::BandTracker btrack(tlen, qlen, a.band, a.zdrop, a.mode, p.match,
-                             -p.gap_cost(1));
-  const i8 wall_vu = static_cast<i8>(-p.gap_cost(1));  // min legal v/u step
-  std::vector<i8> vt_reg(threads), x1_reg(threads), x2_reg(threads);
-  std::vector<i8> ut_reg(threads), y1_reg(threads), y2_reg(threads);
-
-  for (i32 r = 0; r < tlen + qlen - 1; ++r) {
-    const i32 st = diag_start(r, qlen);
-    const i32 en = diag_end(r, tlen);
-    const i32 shift = qlen - r;
-    const i32 qoff = qlen - 1 - r;
-    i32 lo = st, hi = en;
-    if (banded) {
-      if (!btrack.begin_diagonal(r)) break;
-      lo = btrack.lo;
-      hi = btrack.hi;
-    }
-
-    i8 tmp_v = 0, tmp_x1 = 0, tmp_x2 = 0;  // Fig. 4a carry registers
-    if (manymap_layout) {
-      if (banded) {
-        if (lo == 0) {
-          V[shift] = boundary_delta(r);
-          X1[shift] = static_cast<i8>(-(q1 + e1));
-          X2[shift] = static_cast<i8>(-(q2 + e2));
-        } else if (!btrack.lo_adv) {  // wall: lane lo-1 left the band
-          V[lo + shift] = wall_vu;
-          X1[lo + shift] = static_cast<i8>(-(q1 + e1));
-          X2[lo + shift] = static_cast<i8>(-(q2 + e2));
-        }  // else: slot lo+shift already holds lane lo-1's genuine values
-      } else if (st == 0) {
-        V[st + shift] = boundary_delta(r);
-        X1[st + shift] = static_cast<i8>(-(q1 + e1));
-        X2[st + shift] = static_cast<i8>(-(q2 + e2));
-      }
-    } else {
-      if (banded) {
-        if (lo > 0 && btrack.lo_adv) {
-          tmp_v = V[lo - 1];
-          tmp_x1 = X1[lo - 1];
-          tmp_x2 = X2[lo - 1];
-        } else {
-          tmp_v = lo == 0 ? boundary_delta(r) : wall_vu;
-          tmp_x1 = static_cast<i8>(-(q1 + e1));
-          tmp_x2 = static_cast<i8>(-(q2 + e2));
-        }
-      } else if (st == 0) {
-        tmp_v = boundary_delta(r);
-        tmp_x1 = static_cast<i8>(-(q1 + e1));
-        tmp_x2 = static_cast<i8>(-(q2 + e2));
-      } else {
-        tmp_v = V[st - 1];
-        tmp_x1 = X1[st - 1];
-        tmp_x2 = X2[st - 1];
-      }
-    }
-    if (banded) {
-      if (btrack.hi_adv) {  // lane hi is new: boundary or wall injection
-        U[hi] = hi == r ? boundary_delta(r) : wall_vu;
-        Y1[hi] = static_cast<i8>(-(q1 + e1));
-        Y2[hi] = static_cast<i8>(-(q2 + e2));
-      }
-    } else if (en == r) {
-      U[en] = boundary_delta(r);
-      Y1[en] = static_cast<i8>(-(q1 + e1));
-      Y2[en] = static_cast<i8>(-(q2 + e2));
-    }
-
-    for (i32 base = lo; base <= hi; base += static_cast<i32>(threads)) {
-      const u32 active =
-          static_cast<u32>(std::min<i32>(static_cast<i32>(threads), hi - base + 1));
-
-      if (manymap_layout) {
-        block.mem_op(active, shared, 6, [&](u32 lane) {
-          const i32 t = base + static_cast<i32>(lane);
-          vt_reg[lane] = V[t + shift];
-          x1_reg[lane] = X1[t + shift];
-          x2_reg[lane] = X2[t + shift];
-          ut_reg[lane] = U[t];
-          y1_reg[lane] = Y1[t];
-          y2_reg[lane] = Y2[t];
-        });
-      } else {
-        const i32 chunk_end = std::min<i32>(base + static_cast<i32>(active) - 1, hi);
-        const i8 next_tmp_v = V[chunk_end];
-        const i8 next_tmp_x1 = X1[chunk_end];
-        const i8 next_tmp_x2 = X2[chunk_end];
-        block.divergent(
-            active, [](u32 lane) { return lane == 0; },
-            [&](u32 lane) {
-              vt_reg[lane] = tmp_v;
-              x1_reg[lane] = tmp_x1;
-              x2_reg[lane] = tmp_x2;
-            },
-            [&](u32 lane) {
-              const i32 t = base + static_cast<i32>(lane);
-              vt_reg[lane] = V[t - 1];
-              x1_reg[lane] = X1[t - 1];
-              x2_reg[lane] = X2[t - 1];
-            });
-        block.mem_op(active, shared, 6, [&](u32 lane) {
-          const i32 t = base + static_cast<i32>(lane);
-          ut_reg[lane] = U[t];
-          y1_reg[lane] = Y1[t];
-          y2_reg[lane] = Y2[t];
-        });
-        tmp_v = next_tmp_v;
-        tmp_x1 = next_tmp_x1;
-        tmp_x2 = next_tmp_x2;
-        block.sync();  // reads must complete before in-place writes
-      }
-
-      block.mem_op(active, shared, 6, [&](u32 lane) {
-        const i32 t = base + static_cast<i32>(lane);
-        const i32 sc = p.sub(T[t], Qr[qoff + t]);
-        const i8 vt = vt_reg[lane], ut = ut_reg[lane];
-        const i32 a1 = x1_reg[lane] + vt, b1 = y1_reg[lane] + ut;
-        const i32 a2 = x2_reg[lane] + vt, b2 = y2_reg[lane] + ut;
-        const i32 z = std::max({sc, a1, b1, a2, b2});
-        U[t] = detail::sat_i8(z - vt);
-        const i8 vv = detail::sat_i8(z - ut);
-        i32 w = a1 - z + q1;
-        X1[manymap_layout ? t + shift : t] = detail::sat_i8((w < 0 ? 0 : w) - q1 - e1);
-        w = b1 - z + q1;
-        Y1[t] = detail::sat_i8((w < 0 ? 0 : w) - q1 - e1);
-        w = a2 - z + q2;
-        X2[manymap_layout ? t + shift : t] = detail::sat_i8((w < 0 ? 0 : w) - q2 - e2);
-        w = b2 - z + q2;
-        Y2[t] = detail::sat_i8((w < 0 ? 0 : w) - q2 - e2);
-        V[manymap_layout ? t + shift : t] = vv;
-      });
-      if (!manymap_layout) block.sync();  // writes visible before next chunk
-    }
-    block.sync();  // diagonal barrier (both forms)
-
-    if (banded) {
-      const i8 v_lo = manymap_layout ? V[lo + shift] : V[lo];
-      const i8 v_hi = manymap_layout ? V[hi + shift] : V[hi];
-      btrack.after_diagonal(r, U[lo], v_lo, U[hi], v_hi);
-      btrack.maybe_shrink([&](i32 t) { return U[t]; },
-                          [&](i32 t) { return manymap_layout ? V[t + shift] : V[t]; });
-    } else {
-      const i8 v_en = manymap_layout ? V[en + shift] : V[en];
-      const i8 v_st = manymap_layout ? V[st + shift] : V[st];
-      track.after_diagonal(r, U[en], v_en, v_st, U[st]);
-    }
-  }
-
-  if (banded) {
-    // Score-mode banded finish (this kernel never backtracks).
-    out.result.cells = btrack.cells;
-    out.result.zdropped = btrack.zdropped;
-    if (a.mode == AlignMode::kGlobal) {
-      out.result.score = btrack.h_hi;
-      out.result.t_end = tlen - 1;
-      out.result.q_end = qlen - 1;
-      out.result.band_hit = btrack.hit(out.result.score);
-    } else if (!btrack.best.any) {
-      out.result.band_hit = true;  // zdrop retired every border candidate
-    } else {
-      out.result.score = btrack.best.score;
-      out.result.t_end = btrack.best.i;
-      out.result.q_end = btrack.best.j;
-      out.result.band_hit = btrack.hit(out.result.score);
-    }
-    out.cost = block.cost();
-    return out;
-  }
-
-  out.result.cells = static_cast<u64>(tlen) * static_cast<u64>(qlen);
-  if (a.mode == AlignMode::kGlobal) {
-    out.result.score = track.h_bot;
-    out.result.t_end = tlen - 1;
-    out.result.q_end = qlen - 1;
-  } else {
-    out.result.score = track.best.score;
-    out.result.t_end = track.best.i;
-    out.result.q_end = track.best.j;
-  }
   out.cost = block.cost();
   return out;
 }

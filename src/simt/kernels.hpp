@@ -11,7 +11,6 @@
 #pragma once
 
 #include "align/kernel_api.hpp"
-#include "align/twopiece.hpp"
 #include "simt/block.hpp"
 
 namespace manymap {
@@ -36,15 +35,6 @@ u64 gpu_kernel_global_bytes(i32 tlen, i32 qlen, bool with_cigar);
 /// interpreter by tests). Used by the benches for large workloads.
 KernelCost gpu_align_cost(i32 tlen, i32 qlen, Layout layout, const DeviceSpec& spec,
                           u32 threads, bool with_cigar, BlockCostModel model = {});
-
-/// Two-piece gap model on the device, score mode only (the offload
-/// subsystem keeps path mode on the host, so the device never carries the
-/// quadratic dirs area; args.with_cigar must be false). Six difference
-/// arrays instead of four, otherwise the same two kernel forms as
-/// gpu_align; scores and end cells are bit-exact with the CPU two-piece
-/// kernels (asserted by tests and the `gpu` fuzzer family).
-GpuAlignResult gpu_align_twopiece(const TwoPieceArgs& args, Layout layout,
-                                  const DeviceSpec& spec, u32 threads);
 
 }  // namespace simt
 }  // namespace manymap

@@ -19,8 +19,8 @@ namespace verify {
 namespace {
 
 // Scoring pools. Every entry satisfies the int8 difference-lane contract
-// (ScoreParams::fits_int8 / TwoPieceParams::fits_int8); the saturation
-// generator picks the boundary entries on purpose.
+// (ScoreParams::fits_int8); the saturation generator picks the boundary
+// entries on purpose.
 const ScoreParams kDiffParamsPool[] = {
     ScoreParams{},                 // defaults (2,4,4,2)
     ScoreParams::map_pb(),         // 2,5,4,2
@@ -31,14 +31,6 @@ const ScoreParams kDiffParamsPool[] = {
 const ScoreParams kDiffBoundaryParams[] = {
     ScoreParams{100, 60, 20, 5},   // match + q + e == 125 (int8 bound)
     ScoreParams{90, 90, 30, 5},    // mismatch-heavy near the bound
-};
-const TwoPieceParams kTwoPieceParamsPool[] = {
-    TwoPieceParams{},                    // minimap2 map-pb style defaults
-    TwoPieceParams::map_pb(),            // 2,5,4,2,24,1
-    TwoPieceParams{4, 10, 6, 3, 30, 1},  // wider pieces
-};
-const TwoPieceParams kTwoPieceBoundaryParams[] = {
-    TwoPieceParams{90, 80, 20, 15, 34, 1},  // match + max(qk+ek) == 125
 };
 
 const i32 kBoundaryLengths[] = {1,  2,  3,  7,  8,  9,  15,  16,  17,  31,  32,  33,
@@ -150,7 +142,6 @@ void gen_saturation(XorShift& rng, FuzzCase& c) {
   // Sprinkle a few substitutions so match runs restart.
   c.query = substitute(rng, c.query, 1 + rng.below(4));
   c.params = kDiffBoundaryParams[rng.below(std::size(kDiffBoundaryParams))];
-  c.tp = kTwoPieceBoundaryParams[rng.below(std::size(kTwoPieceBoundaryParams))];
 }
 
 }  // namespace
@@ -173,7 +164,6 @@ FuzzCase make_case(u64 seed) {
   XorShift rng(seed ^ 0xc0ffee5eedULL);
   c.generator = static_cast<Generator>(rng.below(kNumGenerators));
   c.params = kDiffParamsPool[rng.below(std::size(kDiffParamsPool))];
-  c.tp = kTwoPieceParamsPool[rng.below(std::size(kTwoPieceParamsPool))];
   switch (c.generator) {
     case Generator::kSubstitution: gen_substitution(rng, c); break;
     case Generator::kIndel: gen_indel(rng, c); break;
@@ -191,7 +181,6 @@ FuzzCase make_longread_case(u64 seed, i32 target_len) {
   c.generator = Generator::kIndel;
   XorShift rng(seed ^ 0x10a6de5dULL);
   c.params = kDiffParamsPool[rng.below(std::size(kDiffParamsPool))];
-  c.tp = kTwoPieceParamsPool[rng.below(std::size(kTwoPieceParamsPool))];
   c.target = random_seq(rng, target_len);
   // PacBio-like combined error rate: 8–17% substitutions + indels.
   c.query = indel_mutate(rng, c.target, 8 + rng.below(10));
@@ -267,7 +256,6 @@ SweepStats run_sweep(const SweepOptions& opt,
     base.target = fc.target;
     base.query = fc.query;
     base.params = fc.params;
-    base.tp = fc.tp;
 
     // Band configurations shared by every banded cell of the seed: one
     // covering band (wide enough that the optimum usually stays inside —
@@ -363,29 +351,6 @@ SweepStats run_sweep(const SweepOptions& opt,
               }
         }
       }
-
-      if (opt.family_twopiece || opt.family_bandfull) {
-        base.family = Family::kTwoPiece;
-        const AlignResult ref = run_reference(base);
-        for (const Layout layout : {Layout::kMinimap2, Layout::kManymap})
-          for (const Isa isa : isas)
-            for (const bool cigar : {false, true}) {
-              CaseSpec spec = base;
-              spec.family = Family::kTwoPiece;
-              spec.layout = layout;
-              spec.isa = isa;
-              spec.with_cigar = cigar;
-              if (opt.family_twopiece)
-                run_cell(spec, ref, fc, opt, stats, table, on_divergence, arena);
-              if (opt.family_bandfull)
-                for (const BandCfg& bc : band_cfgs) {
-                  CaseSpec banded = spec;
-                  banded.band = bc.band;
-                  banded.zdrop = bc.zdrop;
-                  run_cell(banded, ref, fc, opt, stats, table, on_divergence, arena);
-                }
-            }
-      }
     }
   }
   stats.combos = std::move(table.combos);
@@ -411,13 +376,11 @@ SweepStats run_longread_sweep(const LongReadOptions& opt,
     const FuzzCase fc = make_longread_case(seed, len);
 
     CaseSpec spec;
-    spec.family = (seed & 1) != 0 ? Family::kTwoPiece : Family::kDiff;
     spec.layout = pick.chance(1, 2) ? Layout::kMinimap2 : Layout::kManymap;
     spec.isa = isas[pick.below(isas.size())];
     spec.mode = pick.chance(1, 2) ? AlignMode::kExtension : AlignMode::kGlobal;
     spec.with_cigar = true;
     spec.params = fc.params;
-    spec.tp = fc.tp;
     spec.target = fc.target;
     spec.query = fc.query;
     if (!runnable(spec)) continue;  // pool params always fit int8; ISA gaps only
@@ -445,10 +408,7 @@ SweepStats run_longread_sweep(const LongReadOptions& opt,
       report("resident baseline has malformed CIGAR: " + why);
       continue;
     }
-    const i64 rescore =
-        spec.family == Family::kTwoPiece
-            ? twopiece_cigar_score(resident.cigar, spec.target, spec.query, spec.tp)
-            : resident.cigar.score(spec.target, spec.query, 0, 0, spec.params);
+    const i64 rescore = resident.cigar.score(spec.target, spec.query, 0, 0, spec.params);
     if (rescore != resident.score) {
       report(fmt_failure("resident baseline CIGAR rescoring %lld != score %lld",
                          static_cast<long long>(rescore),
@@ -494,9 +454,8 @@ SweepStats run_longread_sweep(const LongReadOptions& opt,
       }
     }
 
-    // Row-band streamed reference: score/end cell must match the kernel
-    // (one-piece model only; the two-piece reference has no streamed form).
-    if (opt.with_reference && spec.family == Family::kDiff) {
+    // Row-band streamed reference: score/end cell must match the kernel.
+    if (opt.with_reference) {
       DiffArgs a;
       a.target = spec.target.data();
       a.tlen = tl;
@@ -617,37 +576,10 @@ CheckResult check_gpu_diff(const CaseSpec& spec, gpu::GpuBatchMapper& mapper, u3
   return {};
 }
 
-/// Device-vs-CPU check for one two-piece segment (device runs score mode).
-CheckResult check_gpu_twopiece(const CaseSpec& spec, TwoPieceKernelFn cpu_kernel) {
-  TwoPieceArgs a;
-  a.target = spec.target.data();
-  a.tlen = static_cast<i32>(spec.target.size());
-  a.query = spec.query.data();
-  a.qlen = static_cast<i32>(spec.query.size());
-  a.params = spec.tp;
-  a.mode = spec.mode;
-  a.with_cigar = false;
-  const AlignResult cpu = cpu_kernel(a);
-  const simt::GpuAlignResult dev =
-      simt::gpu_align_twopiece(a, spec.layout, simt::DeviceSpec::v100(), spec.simt_threads);
-  if (dev.result.score != cpu.score || dev.result.t_end != cpu.t_end ||
-      dev.result.q_end != cpu.q_end)
-    return CheckResult::fail(fmt_failure(
-        "gpu twopiece score/end %lld/(%d,%d) != cpu %lld/(%d,%d)",
-        static_cast<long long>(dev.result.score), dev.result.t_end, dev.result.q_end,
-        static_cast<long long>(cpu.score), cpu.t_end, cpu.q_end));
-  return {};
-}
-
 }  // namespace
 
 CheckResult check_gpu_case(const CaseSpec& spec) {
   if (!runnable(spec)) return {};
-  if (spec.family == Family::kTwoPiece) {
-    const TwoPieceKernelFn k = get_twopiece_kernel(spec.layout, spec.isa);
-    if (k == nullptr) return {};
-    return check_gpu_twopiece(spec, k);
-  }
   gpu::GpuBatchConfig cfg;
   cfg.layout = spec.layout;
   cfg.threads_per_block = spec.simt_threads;
@@ -689,10 +621,9 @@ SweepStats run_gpu_sweep(const GpuSweepOptions& opt,
     cfg.host_kernel = get_diff_kernel(cfg.layout, isa);
     if (cfg.host_kernel == nullptr) continue;  // ISA gap on this machine
     gpu::GpuBatchMapper mapper(cfg);
-    const TwoPieceKernelFn tp_kernel = get_twopiece_kernel(cfg.layout, isa);
 
-    // Randomized batch composition: 2..6 segments of mixed lengths, modes,
-    // families and path flavours, staged through random streams.
+    // Randomized batch composition: 2..6 segments of mixed lengths, modes
+    // and path flavours, staged through random streams.
     const u64 nsegs = 2 + pick.below(5);
     for (u64 i = 0; i < nsegs; ++i) {
       const i32 len =
@@ -704,20 +635,16 @@ SweepStats run_gpu_sweep(const GpuSweepOptions& opt,
       spec.simt_threads = cfg.threads_per_block;
       spec.mode = pick.chance(1, 2) ? AlignMode::kExtension : AlignMode::kGlobal;
       spec.params = fc.params;
-      spec.tp = fc.tp;
       spec.target = fc.target;
       spec.query = fc.query;
-      const bool twopiece = tp_kernel != nullptr && pick.chance(1, 3);
-      spec.family = twopiece ? Family::kTwoPiece : Family::kDiff;
-      spec.with_cigar = twopiece ? false : pick.chance(1, 2);
+      spec.with_cigar = pick.chance(1, 2);
       if (!runnable(spec)) continue;
       const u32 stream = static_cast<u32>(pick.below(cfg.num_streams));
 
       ComboStats& combo = table.at("gpu/" + spec.combo());
       ++combo.cases;
       ++stats.cases_run;
-      const CheckResult check =
-          twopiece ? check_gpu_twopiece(spec, tp_kernel) : check_gpu_diff(spec, mapper, stream);
+      const CheckResult check = check_gpu_diff(spec, mapper, stream);
       if (check.ok) continue;
       ++combo.divergences;
       Divergence div;

@@ -1,9 +1,8 @@
 // Deterministic mutation fuzzer driving the differential oracle across the
 // full kernel matrix:
 //   {minimap2, manymap} layouts x {scalar, SSE2, AVX2, AVX-512} ISAs
-//   x {global, extension} modes x {score-only, full-path}
-//   x {one-piece diff, two-piece diff} families, plus the SIMT block
-//   kernel forms (Fig. 4a/4b) at several block widths.
+//   x {global, extension} modes x {score-only, full-path} diff kernels,
+//   plus the SIMT block kernel forms (Fig. 4a/4b) at several block widths.
 //
 // Every case derives from a single u64 seed through a self-contained
 // xorshift64* generator (no dependence on base/random so repro files stay
@@ -73,7 +72,6 @@ struct FuzzCase {
   std::vector<u8> target;
   std::vector<u8> query;
   ScoreParams params{};
-  TwoPieceParams tp{};
 };
 
 /// Deterministic: the same seed always yields the same case.
@@ -89,10 +87,9 @@ struct SweepOptions {
   u64 seeds = 256;
   u64 first_seed = 1;
   bool family_diff = true;
-  bool family_twopiece = true;
   bool family_simt = true;
   bool family_banded = true;  ///< full-coverage banded DP (global mode only)
-  /// Banded diff/two-piece/SIMT kernel cells: each seed derives a covering
+  /// Banded diff/SIMT kernel cells: each seed derives a covering
   /// band (usually exact, unflagged), a deliberately narrow band (forces
   /// the band-hit -> rerun-unbanded fallback) and a zdrop variant, all
   /// validated against the same unbanded reference through the production
@@ -110,8 +107,7 @@ struct LongReadOptions {
   i32 min_len = 1024;  ///< per-seed target length, drawn uniformly
   i32 max_len = 4096;
   /// Also check the kernel score/end cell against the row-band streamed
-  /// reference DP (diff-family seeds only; the two-piece reference has no
-  /// streamed form).
+  /// reference DP.
   bool with_reference = true;
   /// Route every Nth seed's spill through a temp file (FileDirsSpill)
   /// instead of the heap sink, exercising the file I/O path.
@@ -131,9 +127,8 @@ struct GpuSweepOptions {
 /// offload subsystem (score-mode DP on the simulated device; extension
 /// paths completed on the host from the device end cell) and through the
 /// spec's host kernel, requiring bit-identical score, end cell and — for
-/// path-mode diff cases — CIGAR. kDiff and kTwoPiece families only; the
-/// device runs two-piece kernels in score mode, so with_cigar is ignored
-/// there. Non-runnable specs and ISA gaps answer ok (nothing to compare).
+/// path-mode cases — CIGAR. Non-runnable specs and ISA gaps answer ok
+/// (nothing to compare).
 CheckResult check_gpu_case(const CaseSpec& spec);
 
 /// One confirmed divergence, minimized when SweepOptions::minimize is set.
@@ -164,12 +159,12 @@ SweepStats run_sweep(const SweepOptions& opt,
                      const std::function<void(const Divergence&)>& on_divergence = {});
 
 /// End-to-end sweep of the diagonal-block dirs streaming path on
-/// long-read-sized pairs. Each seed picks one (family, layout, ISA, mode)
+/// long-read-sized pairs. Each seed picks one (layout, ISA, mode) diff
 /// cell, runs the resident-dirs kernel as the baseline, then replays the
 /// identical case through the streaming path at several block heights
 /// (degenerate 1-row, a small-budget block, the default block) and through
 /// both spill sinks — every replay must be bit-identical in score, end
-/// cell and CIGAR. Diff-family seeds additionally check the score/end cell
+/// cell and CIGAR. Each seed additionally checks the score/end cell
 /// against the row-band streamed reference DP. Divergences are reported
 /// un-minimized (cases are large; the failure text names the block
 /// configuration).
@@ -181,7 +176,7 @@ SweepStats run_longread_sweep(
 /// randomized shape (stream count, staging budget — occasionally tight
 /// enough to trip the staging-exhaustion fallback — and block width), then
 /// pushes a randomized batch composition (segment count, lengths, modes,
-/// families, path flavours, staged through random streams) and requires
+/// path flavours, staged through random streams) and requires
 /// every segment to agree with the host kernel bit-for-bit. Divergences
 /// are minimized against check_gpu_case when opt.minimize is set.
 SweepStats run_gpu_sweep(const GpuSweepOptions& opt,

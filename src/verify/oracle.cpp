@@ -36,27 +36,13 @@ DiffArgs diff_args(const CaseSpec& s) {
   return a;
 }
 
-TwoPieceArgs twopiece_args(const CaseSpec& s) {
-  TwoPieceArgs a;
-  a.target = s.target.data();
-  a.tlen = static_cast<i32>(s.target.size());
-  a.query = s.query.data();
-  a.qlen = static_cast<i32>(s.query.size());
-  a.params = s.tp;
-  a.mode = s.mode;
-  a.with_cigar = s.with_cigar;
-  a.band = s.band;
-  a.zdrop = s.zdrop;
-  return a;
-}
-
 /// Production banded contract, as the Mapper enforces it: run banded, and
 /// when the kernel flags band_hit (or the backtrack throws BandHitError)
 /// rerun unbanded. An unflagged banded result is bit-identical to the full
 /// kernel's, so the final answer always is — except for zdropped results,
 /// which are heuristic by design and surface to the checker.
-template <typename Args, typename Run>
-AlignResult run_banded_with_fallback(Args a, const Run& run) {
+template <typename Run>
+AlignResult run_banded_with_fallback(DiffArgs a, const Run& run) {
   bool retry_full = false;
   AlignResult r;
   try {
@@ -78,7 +64,6 @@ AlignResult run_banded_with_fallback(Args a, const Run& run) {
 const char* to_string(Family family) {
   switch (family) {
     case Family::kDiff: return "diff";
-    case Family::kTwoPiece: return "twopiece";
     case Family::kSimt: return "simt";
     case Family::kBanded: return "banded";
   }
@@ -111,9 +96,6 @@ bool runnable(const CaseSpec& spec) {
     case Family::kDiff:
       if (!spec.params.fits_int8()) return false;
       return get_diff_kernel(spec.layout, spec.isa) != nullptr;
-    case Family::kTwoPiece:
-      if (!spec.tp.fits_int8()) return false;
-      return get_twopiece_kernel(spec.layout, spec.isa) != nullptr;
     case Family::kSimt:
       return spec.params.fits_int8() && spec.simt_threads > 0 &&
              spec.simt_threads <= simt::DeviceSpec::v100().max_block_threads;
@@ -152,29 +134,6 @@ bool validate_cigar_shape(const Cigar& cigar, u64 t_span, u64 q_span, std::strin
   return true;
 }
 
-i64 twopiece_cigar_score(const Cigar& cigar, const std::vector<u8>& target,
-                         const std::vector<u8>& query, const TwoPieceParams& p) {
-  i64 score = 0;
-  u64 i = 0, j = 0;
-  for (const CigarOp& op : cigar.ops()) {
-    if (op.op == 'M') {
-      MM_REQUIRE(i + op.len <= target.size() && j + op.len <= query.size(),
-                 "two-piece CIGAR overruns the sequences");
-      for (u32 k = 0; k < op.len; ++k) score += p.sub(target[i + k], query[j + k]);
-      i += op.len;
-      j += op.len;
-    } else if (op.op == 'D') {
-      score -= p.gap_cost(op.len);
-      i += op.len;
-    } else {
-      MM_REQUIRE(op.op == 'I', "unsupported CIGAR op in two-piece scoring");
-      score -= p.gap_cost(op.len);
-      j += op.len;
-    }
-  }
-  return score;
-}
-
 AlignResult run_production(const CaseSpec& spec) {
   return run_production(spec, nullptr);
 }
@@ -186,13 +145,6 @@ AlignResult run_production(const CaseSpec& spec, detail::KernelArena* arena) {
       DiffArgs a = diff_args(spec);
       a.arena = arena;
       const KernelFn k = get_diff_kernel(spec.layout, spec.isa);
-      if (a.band > 0) return run_banded_with_fallback(a, k);
-      return k(a);
-    }
-    case Family::kTwoPiece: {
-      TwoPieceArgs a = twopiece_args(spec);
-      a.arena = arena;
-      const TwoPieceKernelFn k = get_twopiece_kernel(spec.layout, spec.isa);
       if (a.band > 0) return run_banded_with_fallback(a, k);
       return k(a);
     }
@@ -228,28 +180,15 @@ AlignResult run_production(const CaseSpec& spec, detail::KernelArena* arena) {
 AlignResult run_production_streamed(const CaseSpec& spec, detail::KernelArena* arena,
                                     DirsSpill* spill, i32 block_rows) {
   MM_REQUIRE(runnable(spec), "case is not runnable on this machine");
-  MM_REQUIRE(spec.family == Family::kDiff || spec.family == Family::kTwoPiece,
-             "dirs streaming exists for the diff / two-piece kernels only");
-  if (spec.family == Family::kDiff) {
-    DiffArgs a = diff_args(spec);
-    a.arena = arena;
-    a.spill = spill;
-    a.spill_block_rows = block_rows;
-    return get_diff_kernel(spec.layout, spec.isa)(a);
-  }
-  TwoPieceArgs a = twopiece_args(spec);
+  MM_REQUIRE(spec.family == Family::kDiff, "dirs streaming exists for the diff kernels only");
+  DiffArgs a = diff_args(spec);
   a.arena = arena;
   a.spill = spill;
   a.spill_block_rows = block_rows;
-  return get_twopiece_kernel(spec.layout, spec.isa)(a);
+  return get_diff_kernel(spec.layout, spec.isa)(a);
 }
 
 AlignResult run_reference(const CaseSpec& spec) {
-  if (spec.family == Family::kTwoPiece) {
-    TwoPieceArgs a = twopiece_args(spec);
-    a.with_cigar = true;
-    return twopiece_reference_align(a);
-  }
   DiffArgs a = diff_args(spec);
   a.with_cigar = true;
   return reference_align(a);
@@ -262,7 +201,7 @@ CheckResult check_result(const CaseSpec& spec, const AlignResult& got,
   // they cannot be compared bit-for-bit. They are still bounded: pruning
   // only removes candidate paths, so the score must never BEAT the
   // reference optimum, and a reported CIGAR must stay self-consistent.
-  // (Production kDiff/kTwoPiece/kSimt banded runs never surface band_hit —
+  // (Production kDiff/kSimt banded runs never surface band_hit —
   // run_production reruns them unbanded — only zdropped reaches here.)
   if (got.band_hit || got.zdropped) {
     if (got.score > ref.score)
@@ -276,10 +215,7 @@ CheckResult check_result(const CaseSpec& spec, const AlignResult& got,
     const u64 q_span = static_cast<u64>(got.q_end + 1);
     if (!validate_cigar_shape(got.cigar, t_span, q_span, &why))
       return CheckResult::fail("malformed band-confined CIGAR: " + why);
-    const i64 path_score = spec.family == Family::kTwoPiece
-                               ? twopiece_cigar_score(got.cigar, spec.target, spec.query,
-                                                      spec.tp)
-                               : got.cigar.score(spec.target, spec.query, 0, 0, spec.params);
+    const i64 path_score = got.cigar.score(spec.target, spec.query, 0, 0, spec.params);
     if (path_score != got.score)
       return CheckResult::fail(fmt("band-confined CIGAR rescoring %lld != reported "
                                    "score %lld",
@@ -306,10 +242,7 @@ CheckResult check_result(const CaseSpec& spec, const AlignResult& got,
   const u64 q_span = static_cast<u64>(got.q_end + 1);
   if (!validate_cigar_shape(got.cigar, t_span, q_span, &why))
     return CheckResult::fail("malformed CIGAR: " + why);
-  const i64 path_score = spec.family == Family::kTwoPiece
-                             ? twopiece_cigar_score(got.cigar, spec.target, spec.query,
-                                                    spec.tp)
-                             : got.cigar.score(spec.target, spec.query, 0, 0, spec.params);
+  const i64 path_score = got.cigar.score(spec.target, spec.query, 0, 0, spec.params);
   if (path_score != got.score)
     return CheckResult::fail(fmt("CIGAR rescoring %lld != reported score %lld",
                                  static_cast<long long>(path_score),

@@ -4,7 +4,7 @@
 //
 //   manymap-verify-repro v1
 //   # free-form note lines
-//   family twopiece
+//   family diff
 //   layout minimap2
 //   isa avx2
 //   mode extension
@@ -13,7 +13,6 @@
 //   band 16          (optional; absent = 0 = unbanded)
 //   zdrop 100        (optional; absent = 0 = adaptive X-drop off)
 //   params 2 4 4 2
-//   tp_params 2 4 4 2 24 1
 //   target ACGTN...   ("-" for an empty sequence)
 //   query ACGT...
 #include <cstdio>
@@ -40,7 +39,6 @@ std::vector<u8> text_to_seq(const std::string& s) {
 
 bool parse_family(const std::string& s, Family* out) {
   if (s == "diff") *out = Family::kDiff;
-  else if (s == "twopiece") *out = Family::kTwoPiece;
   else if (s == "simt") *out = Family::kSimt;
   else if (s == "banded") *out = Family::kBanded;
   else return false;
@@ -92,9 +90,6 @@ std::string format_repro(const CaseSpec& spec, const std::string& note) {
   if (spec.zdrop != 0) out << "zdrop " << spec.zdrop << "\n";
   out << "params " << spec.params.match << ' ' << spec.params.mismatch << ' '
       << spec.params.gap_open << ' ' << spec.params.gap_ext << "\n";
-  out << "tp_params " << spec.tp.match << ' ' << spec.tp.mismatch << ' '
-      << spec.tp.gap_open1 << ' ' << spec.tp.gap_ext1 << ' ' << spec.tp.gap_open2 << ' '
-      << spec.tp.gap_ext2 << "\n";
   out << "target " << seq_to_text(spec.target) << "\n";
   out << "query " << seq_to_text(spec.query) << "\n";
   return out.str();
@@ -141,11 +136,6 @@ bool parse_repro(const std::string& text, CaseSpec* out, std::string* err) {
       auto& p = spec.params;
       if (!(ls >> p.match >> p.mismatch >> p.gap_open >> p.gap_ext))
         return fail("bad params: " + line);
-    } else if (key == "tp_params") {
-      auto& p = spec.tp;
-      if (!(ls >> p.match >> p.mismatch >> p.gap_open1 >> p.gap_ext1 >> p.gap_open2 >>
-            p.gap_ext2))
-        return fail("bad tp_params: " + line);
     } else if (key == "target") {
       if (!(ls >> sval)) return fail("bad target: " + line);
       spec.target = text_to_seq(sval);

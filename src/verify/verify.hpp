@@ -1,7 +1,7 @@
 // Differential verification oracle for the alignment kernel matrix.
 //
 // A CaseSpec pins down ONE production kernel invocation — kernel family
-// (one-piece diff / two-piece diff / SIMT block form), memory layout, ISA,
+// (diff / SIMT block form / banded reference rung), memory layout, ISA,
 // alignment mode, score-only vs full path, scoring parameters and the
 // concrete sequence pair. The oracle replays the case through the
 // full-matrix reference DP and validates the production result:
@@ -23,17 +23,16 @@
 #include <vector>
 
 #include "align/kernel_api.hpp"
-#include "align/twopiece.hpp"
 
 namespace manymap {
 namespace verify {
 
 /// Kernel families under verification. kSimt runs the block-interpreter
-/// GPU kernel forms (Fig. 4a/4b), which share the one-piece scoring model.
+/// GPU kernel forms (Fig. 4a/4b), which share the diff kernels' scoring.
 /// kBanded runs the banded global DP with a full-coverage band — the
 /// fallback ladder's last rung (align/fallback.hpp), which must equal the
 /// reference DP bit-for-bit, tie-breaking included.
-enum class Family { kDiff, kTwoPiece, kSimt, kBanded };
+enum class Family { kDiff, kSimt, kBanded };
 
 const char* to_string(Family family);
 
@@ -45,10 +44,9 @@ struct CaseSpec {
   AlignMode mode = AlignMode::kGlobal;
   bool with_cigar = true;
   u32 simt_threads = 64;   ///< block width for kSimt
-  ScoreParams params{};    ///< kDiff / kSimt scoring
-  TwoPieceParams tp{};     ///< kTwoPiece scoring
+  ScoreParams params{};
   /// Static band half-width for the banded kernel variants (0 = unbanded).
-  /// For kDiff / kTwoPiece / kSimt, run_production replays the production
+  /// For kDiff / kSimt, run_production replays the production
   /// contract: run banded, and on band_hit / BandHitError rerun unbanded —
   /// exactly the Mapper's auto-full fallback — so the final result must
   /// still match the unbanded reference bit-for-bit. For kBanded it is the
@@ -82,11 +80,6 @@ struct CheckResult {
 bool validate_cigar_shape(const Cigar& cigar, u64 t_span, u64 q_span,
                           std::string* why = nullptr);
 
-/// Score a CIGAR path under the two-piece gap model (the one-piece analogue
-/// is Cigar::score).
-i64 twopiece_cigar_score(const Cigar& cigar, const std::vector<u8>& target,
-                         const std::vector<u8>& query, const TwoPieceParams& p);
-
 /// Run the production kernel for a runnable case. The two-argument form
 /// routes the kernel's DP workspace through `arena` (see align/arena.hpp),
 /// so callers that replay many cases — the fuzzer sweep, the service's
@@ -98,8 +91,8 @@ AlignResult run_production(const CaseSpec& spec, detail::KernelArena* arena);
 /// As run_production, but drives the diagonal-block dirs streaming path:
 /// direction rows leave the arena through `spill` in blocks of
 /// `block_rows` padded diagonal rows (0 picks the default block; see
-/// align/dirs_spill.hpp). kDiff / kTwoPiece only — the other families have
-/// no streaming form. Results must be bit-identical to the resident path.
+/// align/dirs_spill.hpp). kDiff only — the other families have no
+/// streaming form. Results must be bit-identical to the resident path.
 AlignResult run_production_streamed(const CaseSpec& spec, detail::KernelArena* arena,
                                     DirsSpill* spill, i32 block_rows);
 

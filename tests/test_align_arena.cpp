@@ -19,7 +19,6 @@
 #include "align/fallback.hpp"
 #include "align/kernel_api.hpp"
 #include "align/reference_dp.hpp"
-#include "align/twopiece.hpp"
 #include "base/random.hpp"
 #include "fault/fault.hpp"
 #include "sequence/dna.hpp"
@@ -98,20 +97,6 @@ TEST(ArenaBitExact, DirtyReuseMatchesFreshAcrossAllBackends) {
               expect_same(fn(a), fresh, "diff/" + what + " poisoned");
               expect_same(fn(a), fresh, "diff/" + what + " reused");
             }
-            if (TwoPieceKernelFn fn = get_twopiece_kernel(layout, isa)) {
-              TwoPieceArgs a;
-              a.target = sh.target.data();
-              a.tlen = static_cast<i32>(sh.target.size());
-              a.query = sh.query.data();
-              a.qlen = static_cast<i32>(sh.query.size());
-              a.mode = mode;
-              a.with_cigar = cigar;
-              const AlignResult fresh = fn(a);
-              a.arena = &arena;
-              arena.poison(0xA5);
-              expect_same(fn(a), fresh, "twopiece/" + what + " poisoned");
-              expect_same(fn(a), fresh, "twopiece/" + what + " reused");
-            }
           }
         }
       }
@@ -156,45 +141,27 @@ TEST(ArenaAccounting, GrowthFromEmptyChargesExactlyTheReservedFootprint) {
   const std::vector<u8> q = mutate(32, t, 0.2);
   detail::DpAllocStats& stats = dp_alloc_stats();
 
-  {
-    KernelArena arena;
-    DiffArgs a;
-    a.target = t.data();
-    a.tlen = static_cast<i32>(t.size());
-    a.query = q.data();
-    a.qlen = static_cast<i32>(q.size());
-    a.with_cigar = true;
-    a.arena = &arena;
-    stats.reset();
-    get_diff_kernel(Layout::kManymap, Isa::kScalar)(a);
-    // One growth event charging the true footprint: the bytes reported to
-    // check_dp_alloc must equal what the arena actually reserved — the
-    // old accounting (4 * (tlen + pad)) omitted tp/qr/dirs/diag_off.
-    EXPECT_EQ(stats.calls, 1u);
-    EXPECT_EQ(stats.bytes, arena.reserved_bytes());
-    // The padded-dirs region dominates: tlen*qlen cells plus a kLanePad
-    // tail per diagonal must all be charged.
-    const u64 cells = static_cast<u64>(a.tlen) * static_cast<u64>(a.qlen);
-    const u64 pads =
-        static_cast<u64>(a.tlen + a.qlen - 1) * static_cast<u64>(detail::kLanePad);
-    EXPECT_GE(stats.bytes, cells + pads);
-  }
-  {
-    KernelArena arena;
-    TwoPieceArgs a;
-    a.target = t.data();
-    a.tlen = static_cast<i32>(t.size());
-    a.query = q.data();
-    a.qlen = static_cast<i32>(q.size());
-    a.with_cigar = true;
-    a.arena = &arena;
-    stats.reset();
-    get_twopiece_kernel(Layout::kManymap, Isa::kScalar)(a);
-    // The two-piece family reports through the same hook, including its
-    // extra Y2/X2 rows.
-    EXPECT_EQ(stats.calls, 1u);
-    EXPECT_EQ(stats.bytes, arena.reserved_bytes());
-  }
+  KernelArena arena;
+  DiffArgs a;
+  a.target = t.data();
+  a.tlen = static_cast<i32>(t.size());
+  a.query = q.data();
+  a.qlen = static_cast<i32>(q.size());
+  a.with_cigar = true;
+  a.arena = &arena;
+  stats.reset();
+  get_diff_kernel(Layout::kManymap, Isa::kScalar)(a);
+  // One growth event charging the true footprint: the bytes reported to
+  // check_dp_alloc must equal what the arena actually reserved — the
+  // old accounting (4 * (tlen + pad)) omitted tp/qr/dirs/diag_off.
+  EXPECT_EQ(stats.calls, 1u);
+  EXPECT_EQ(stats.bytes, arena.reserved_bytes());
+  // The padded-dirs region dominates: tlen*qlen cells plus a kLanePad
+  // tail per diagonal must all be charged.
+  const u64 cells = static_cast<u64>(a.tlen) * static_cast<u64>(a.qlen);
+  const u64 pads =
+      static_cast<u64>(a.tlen + a.qlen - 1) * static_cast<u64>(detail::kLanePad);
+  EXPECT_GE(stats.bytes, cells + pads);
 }
 
 #if MANYMAP_FAULT_INJECTION

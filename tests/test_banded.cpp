@@ -7,7 +7,6 @@
 #include "align/arena.hpp"
 #include "align/banded.hpp"
 #include "align/reference_dp.hpp"
-#include "align/twopiece.hpp"
 #include "base/random.hpp"
 #include "core/mapper.hpp"
 #include "core/options.hpp"
@@ -169,7 +168,7 @@ TEST(Banded, SingleRowTargetCoversTheWholeQuery) {
   EXPECT_EQ(got.cigar.to_string(), ref.cigar.to_string());
 }
 
-// --- banded production kernels (diff / two-piece) ---
+// --- banded production diff kernels ---
 
 DiffArgs make_diff(const std::vector<u8>& t, const std::vector<u8>& q, bool cigar,
                    i32 band, i32 zdrop, AlignMode mode = AlignMode::kGlobal) {
@@ -259,34 +258,6 @@ TEST(BandedKernel, ZdropNeverBeatsTheOptimum) {
     EXPECT_LE(banded.score, full.score);
     if (!banded.zdropped) EXPECT_EQ(banded.score, full.score);
   }
-}
-
-TEST(BandedKernel, TwoPieceUnflaggedRunsAreBitExact) {
-  Rng rng(20);
-  const auto t = random_seq(rng, 180);
-  auto q = t;
-  for (auto& b : q)
-    if (rng.bernoulli(0.1)) b = rng.base();
-  for (const Layout layout : {Layout::kMinimap2, Layout::kManymap})
-    for (const Isa isa : available_isas())
-      for (const bool cigar : {false, true}) {
-        const TwoPieceKernelFn k = get_twopiece_kernel(layout, isa);
-        if (k == nullptr) continue;
-        TwoPieceArgs a;
-        a.target = t.data();
-        a.tlen = static_cast<i32>(t.size());
-        a.query = q.data();
-        a.qlen = static_cast<i32>(q.size());
-        a.mode = AlignMode::kGlobal;
-        a.with_cigar = cigar;
-        const AlignResult full = k(a);
-        a.band = 48;
-        const AlignResult banded = k(a);
-        ASSERT_FALSE(banded.band_hit)
-            << to_string(layout) << "/" << to_string(isa) << (cigar ? "/path" : "/score");
-        EXPECT_EQ(banded.score, full.score);
-        EXPECT_EQ(banded.cigar.to_string(), full.cigar.to_string());
-      }
 }
 
 // --- band plumbing in the mapper-facing option/estimate layer ---

@@ -2,7 +2,7 @@
 // DirsStream cursor in align/arena.hpp):
 //  1. streamed-vs-resident equivalence — sweeping block heights (including
 //     the degenerate 1-diagonal block and a block >= the whole matrix)
-//     across {diff, twopiece} × every available ISA × both layouts ×
+//     across every available diff ISA × both layouts ×
 //     {global, extension}, score/end-cell/CIGAR must match the resident
 //     path bit-for-bit;
 //  2. the temp-file sink answers exactly like the in-memory sink;
@@ -22,7 +22,6 @@
 #include "align/diff_common.hpp"
 #include "align/dirs_spill.hpp"
 #include "align/kernel_api.hpp"
-#include "align/twopiece.hpp"
 #include "base/random.hpp"
 #include "fault/fault.hpp"
 
@@ -92,25 +91,6 @@ TEST(DirsStream, StreamedMatchesResidentAcrossBlockSizesAndBackends) {
           }
           a.spill = nullptr;
         }
-        if (TwoPieceKernelFn fn = get_twopiece_kernel(layout, isa)) {
-          TwoPieceArgs a;
-          a.target = t.data();
-          a.tlen = static_cast<i32>(t.size());
-          a.query = q.data();
-          a.qlen = static_cast<i32>(q.size());
-          a.mode = mode;
-          a.with_cigar = true;
-          a.arena = &arena;
-          const AlignResult resident = fn(a);
-          for (const i32 rows : block_rows) {
-            MemDirsSpill spill;
-            a.spill = &spill;
-            a.spill_block_rows = rows;
-            expect_same(fn(a), resident,
-                        "twopiece/" + base + " block_rows=" + std::to_string(rows));
-          }
-          a.spill = nullptr;
-        }
       }
     }
   }
@@ -148,44 +128,27 @@ TEST(DirsStream, FileSpillMatchesMemSpill) {
   const std::vector<u8> t = random_seq(91, 257);
   const std::vector<u8> q = mutate(92, t, 0.25);
   KernelArena arena;
-  for (const bool twopiece : {false, true}) {
-    AlignResult mem_res, file_res;
-    for (DirsSpill* spill :
-         std::initializer_list<DirsSpill*>{new MemDirsSpill, new FileDirsSpill}) {
-      std::unique_ptr<DirsSpill> owned(spill);
-      AlignResult r;
-      if (twopiece) {
-        TwoPieceArgs a;
-        a.target = t.data();
-        a.tlen = static_cast<i32>(t.size());
-        a.query = q.data();
-        a.qlen = static_cast<i32>(q.size());
-        a.with_cigar = true;
-        a.arena = &arena;
-        a.spill = spill;
-        a.spill_block_rows = 5;
-        r = get_twopiece_kernel(Layout::kManymap, best_isa())(a);
-      } else {
-        DiffArgs a;
-        a.target = t.data();
-        a.tlen = static_cast<i32>(t.size());
-        a.query = q.data();
-        a.qlen = static_cast<i32>(q.size());
-        a.with_cigar = true;
-        a.arena = &arena;
-        a.spill = spill;
-        a.spill_block_rows = 5;
-        r = get_diff_kernel(Layout::kManymap, best_isa())(a);
-      }
-      EXPECT_GT(spill->spilled_bytes(), 0u);
-      if (dynamic_cast<MemDirsSpill*>(spill) != nullptr)
-        mem_res = r;
-      else
-        file_res = r;
-    }
-    expect_same(file_res, mem_res,
-                twopiece ? "twopiece file-vs-mem" : "diff file-vs-mem");
+  AlignResult mem_res, file_res;
+  for (DirsSpill* spill :
+       std::initializer_list<DirsSpill*>{new MemDirsSpill, new FileDirsSpill}) {
+    std::unique_ptr<DirsSpill> owned(spill);
+    DiffArgs a;
+    a.target = t.data();
+    a.tlen = static_cast<i32>(t.size());
+    a.query = q.data();
+    a.qlen = static_cast<i32>(q.size());
+    a.with_cigar = true;
+    a.arena = &arena;
+    a.spill = spill;
+    a.spill_block_rows = 5;
+    const AlignResult r = get_diff_kernel(Layout::kManymap, best_isa())(a);
+    EXPECT_GT(spill->spilled_bytes(), 0u);
+    if (dynamic_cast<MemDirsSpill*>(spill) != nullptr)
+      mem_res = r;
+    else
+      file_res = r;
   }
+  expect_same(file_res, mem_res, "diff file-vs-mem");
 }
 
 TEST(DirsStream, ResidentBlockStaysBounded) {

@@ -17,7 +17,6 @@
 #include "io/mapped_file.hpp"
 #include "sequence/dna.hpp"
 #include "simt/memory_pool.hpp"
-#include "simt/stream.hpp"
 #include "simulate/genome.hpp"
 
 namespace manymap {
@@ -227,35 +226,6 @@ TEST(FaultInject, SimtPoolAllocFailureCountsAndReturnsNullopt) {
   EXPECT_FALSE(pool.allocate(0, 64).has_value());  // injected
   EXPECT_EQ(pool.failed_allocations(), 1u);
   EXPECT_TRUE(pool.allocate(0, 64).has_value());  // max_fires exhausted
-}
-
-TEST(FaultInject, SimtStreamLaunchFailureFallsBackToCpuCorrectly) {
-  const std::vector<u8> t = encode_dna("ACGTACGTACGTACGTAC");
-  const std::vector<u8> q = encode_dna("ACGTACCTACGTACGAAC");
-  std::vector<simt::SequencePair> pairs(6, simt::SequencePair{t, q});
-  simt::BatchConfig cfg;
-  cfg.threads_per_block = 32;
-  cfg.num_streams = 2;
-  const simt::Device device{simt::DeviceSpec::v100()};
-
-  FaultPlan plan(5);
-  FaultSpec spec;
-  spec.site = "simt.stream.launch";
-  spec.one_in = 2;
-  plan.arm(spec);
-  ScopedPlan guard(&plan);
-  const auto report = simt::run_alignment_batch(device, pairs, ScoreParams{}, cfg);
-  EXPECT_GT(report.stream_errors, 0u);
-  ASSERT_EQ(report.results.size(), pairs.size());
-
-  DiffArgs a;
-  a.target = t.data();
-  a.tlen = static_cast<i32>(t.size());
-  a.query = q.data();
-  a.qlen = static_cast<i32>(q.size());
-  a.mode = AlignMode::kGlobal;
-  const AlignResult want = reference_align(a);
-  for (const auto& r : report.results) EXPECT_EQ(r.score, want.score);
 }
 
 TEST(Fallback, DpAllocFaultClimbsToBandedReference) {

@@ -6,8 +6,8 @@
 //   - OccupancyTracker accounting through the discrete-event device model;
 //   - GpuBatchMapper bit-identity with the host kernel across score/path
 //     modes, the min-cells cutoff, and every fallback rung (staging
-//     exhaustion, injected launch failure);
-//   - the two-piece device kernel against its CPU counterpart;
+//     exhaustion, injected launch failure) and with threads sharing a
+//     stream;
 //   - AlignmentService end-to-end: gpu-enabled responses byte-identical to
 //     the serial mapper, and a mid-batch launch-failure storm that must
 //     re-queue remainders exactly once with no drops or duplicates.
@@ -18,10 +18,10 @@
 #include <cmath>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "align/kernel_api.hpp"
-#include "align/twopiece.hpp"
 #include "core/paf.hpp"
 #include "fault/fault.hpp"
 #include "gpu/batch_mapper.hpp"
@@ -161,7 +161,8 @@ TEST(BandedPlacement, BandedCellEstimateIsLinearInBand) {
 }
 
 // ---------------------------------------------------------------------------
-// StagingArea: per-stream bump partitions with one-shot release.
+// StagingArea: per-stream bump partitions, reset when the last live
+// reservation on the stream is released.
 
 TEST(Staging, StageCopiesAndReleaseResets) {
   StagingArea area(/*total_bytes=*/256, /*num_streams=*/2);
@@ -178,6 +179,23 @@ TEST(Staging, StageCopiesAndReleaseResets) {
   area.release(0);
   EXPECT_EQ(area.bytes_in_use(0), 0u);
   EXPECT_EQ(area.staged_bytes(), data.size());  // lifetime counter survives
+}
+
+TEST(Staging, SharedPartitionResetsOnlyAfterLastRelease) {
+  // Two callers on one stream: the first release must not reset the
+  // partition under the second caller's still-staged slice.
+  StagingArea area(/*total_bytes=*/256, /*num_streams=*/1);
+  const std::vector<u8> mine = {1, 2, 3, 1}, peer = {2, 2, 2, 2}, next = {0, 0, 0, 0};
+  const auto held = area.stage(0, mine.data(), mine.size());
+  ASSERT_TRUE(held.has_value());
+  ASSERT_TRUE(area.stage(0, peer.data(), peer.size()).has_value());
+  area.release(0);  // the peer is done; `held` is still live
+  EXPECT_GT(area.bytes_in_use(0), 0u);
+  ASSERT_TRUE(area.stage(0, next.data(), next.size()).has_value());
+  for (std::size_t i = 0; i < mine.size(); ++i) EXPECT_EQ(held->host[i], mine[i]);
+  area.release(0);
+  area.release(0);
+  EXPECT_EQ(area.bytes_in_use(0), 0u);
 }
 
 TEST(Staging, ExhaustionFailsCleanlyPerStream) {
@@ -406,6 +424,62 @@ TEST(BatchMapper, QueryThatDoesNotFitStagesNothing) {
   EXPECT_EQ(seg.result.cigar, host.cigar);
 }
 
+TEST(BatchMapper, ThreadsSharingOneStreamMatchHost) {
+  // Service workers outnumber streams (or a respawned worker reuses its
+  // predecessor's stream), so two callers can drive one staging
+  // partition at once. Each must read back its own staged slices.
+  GpuBatchConfig cfg = small_config();
+  cfg.num_streams = 1;
+  cfg.min_gpu_cells = 4096;  // the production cutoff; every segment clears it
+  GpuBatchMapper mapper(cfg);
+  constexpr int kThreads = 2;
+  constexpr int kSegments = 60;
+  struct Segment {
+    std::vector<u8> target, query;
+    AlignResult want;
+  };
+  std::vector<std::vector<Segment>> work(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kSegments; ++i) {
+      Segment s;
+      s.target = random_seq(1000 * static_cast<u64>(t + 1) + static_cast<u64>(i),
+                            80 + (i % 7) * 3);
+      s.query = s.target;
+      s.query.resize(s.query.size() - static_cast<std::size_t>(i % 5));
+      s.query[static_cast<std::size_t>(i % 11)] ^= 1;
+      work[static_cast<std::size_t>(t)].push_back(std::move(s));
+    }
+  auto args_of = [](const Segment& s) {
+    DiffArgs a;
+    a.target = s.target.data();
+    a.tlen = static_cast<i32>(s.target.size());
+    a.query = s.query.data();
+    a.qlen = static_cast<i32>(s.query.size());
+    a.mode = AlignMode::kExtension;
+    return a;
+  };
+  for (auto& segs : work)
+    for (Segment& s : segs) {
+      ASSERT_GE(static_cast<u64>(s.target.size()) * s.query.size(), cfg.min_gpu_cells);
+      s.want = mapper.config().host_kernel(args_of(s));
+    }
+
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (const Segment& s : work[static_cast<std::size_t>(t)]) {
+        const auto seg = mapper.align_segment(args_of(s), /*stream=*/0);
+        if (!seg.on_device || seg.result.score != s.want.score ||
+            seg.result.t_end != s.want.t_end || seg.result.q_end != s.want.q_end)
+          ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0);
+  EXPECT_EQ(mapper.stats().device_kernels, static_cast<u64>(kThreads * kSegments));
+}
+
 TEST(BatchMapper, PlaceCountsDecisions) {
   GpuBatchMapper mapper(small_config());
   EXPECT_TRUE(mapper.place(uniform_lengths(8, 4000)).offload);
@@ -413,33 +487,6 @@ TEST(BatchMapper, PlaceCountsDecisions) {
   const auto stats = mapper.stats();
   EXPECT_EQ(stats.offload_batches, 1u);
   EXPECT_EQ(stats.cpu_batches, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Two-piece device kernel (score mode only — path stays on the host).
-
-TEST(TwoPiece, DeviceScoreMatchesCpuKernel) {
-  const TwoPieceKernelFn cpu = get_twopiece_kernel(Layout::kManymap, Isa::kScalar);
-  ASSERT_NE(cpu, nullptr);
-  for (const AlignMode mode : {AlignMode::kGlobal, AlignMode::kExtension}) {
-    const auto target = random_seq(21 + static_cast<u64>(mode), 130);
-    auto query = target;
-    query.resize(120);
-    query[11] = static_cast<u8>((query[11] + 3) & 3);
-    TwoPieceArgs a;
-    a.target = target.data();
-    a.tlen = static_cast<i32>(target.size());
-    a.query = query.data();
-    a.qlen = static_cast<i32>(query.size());
-    a.mode = mode;
-    const AlignResult host = cpu(a);
-    const auto dev = simt::gpu_align_twopiece(a, Layout::kManymap,
-                                              simt::DeviceSpec::v100(), 128);
-    EXPECT_EQ(dev.result.score, host.score);
-    EXPECT_EQ(dev.result.t_end, host.t_end);
-    EXPECT_EQ(dev.result.q_end, host.q_end);
-    EXPECT_GT(dev.cost.cycles, 0u);
-  }
 }
 
 // ---------------------------------------------------------------------------

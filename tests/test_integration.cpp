@@ -1,6 +1,6 @@
 // Cross-module integration tests: full flows spanning simulator -> index
-// -> chain -> mapper -> output, persisted-index mapping equivalence, GPU
-// batch fallback, and machine-model consistency properties.
+// -> chain -> mapper -> output, persisted-index mapping equivalence, and
+// machine-model consistency properties.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +11,6 @@
 #include "core/paf.hpp"
 #include "index/index_io.hpp"
 #include "knl/knl_run.hpp"
-#include "simt/stream.hpp"
 #include "simulate/genome.hpp"
 #include "simulate/read_sim.hpp"
 
@@ -99,28 +98,6 @@ TEST(Integration, PafLinesParseBackConsistently) {
       EXPECT_LE(rec.matches, rec.align_length);
     }
   }
-}
-
-TEST(Integration, GpuBatchFallsBackWhenPoolExhausted) {
-  // Full-path alignment of long pairs with many streams: the per-stream
-  // pool partition is too small, so pairs fall back to the CPU (§4.5.2)
-  // and results remain correct.
-  Rng rng(7);
-  const simt::Device device{simt::DeviceSpec::v100()};
-  std::vector<simt::SequencePair> pairs(4);
-  for (auto& p : pairs) {
-    p.target.resize(20'000);
-    for (auto& b : p.target) b = rng.base();
-    p.query = p.target;
-  }
-  simt::BatchConfig cfg;
-  cfg.num_streams = 128;  // 16 GB / 128 = 128 MB/stream < 400 MB needed
-  cfg.with_cigar = true;
-  const auto report = simt::run_alignment_batch(device, pairs, ScoreParams{}, cfg);
-  EXPECT_EQ(report.fallbacks_to_cpu, 4u);
-  EXPECT_EQ(report.kernels_on_gpu, 0u);
-  for (const auto& r : report.results)
-    EXPECT_EQ(r.score, 20'000 * ScoreParams{}.match);  // identical pair
 }
 
 TEST(Integration, KnlModelMonotonicities) {

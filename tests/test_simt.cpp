@@ -2,12 +2,12 @@
 
 #include "align/reference_dp.hpp"
 #include "base/random.hpp"
-#include "simt/stream.hpp"
+#include "simt/kernels.hpp"
+#include "simt/memory_pool.hpp"
 
 namespace manymap {
 namespace {
 
-using simt::BatchConfig;
 using simt::Block;
 using simt::Device;
 using simt::DeviceSpec;
@@ -210,34 +210,6 @@ TEST(MemoryPool, ExhaustionAndReset) {
   pool.reset(2);
   EXPECT_EQ(pool.bytes_in_use(2), 0u);
   EXPECT_TRUE(pool.allocate(2, 100).has_value());
-}
-
-TEST(StreamBatch, ResultsMatchCpuAndConcurrencyReported) {
-  Rng rng(80);
-  const Device device{DeviceSpec::v100()};
-  std::vector<simt::SequencePair> pairs(12);
-  for (auto& p : pairs) {
-    p.target = random_seq(rng, 300);
-    p.query = random_seq(rng, 300);
-  }
-  BatchConfig cfg;
-  cfg.num_streams = 8;
-  cfg.with_cigar = false;
-  const auto report = simt::run_alignment_batch(device, pairs, ScoreParams{}, cfg);
-  EXPECT_EQ(report.results.size(), 12u);
-  EXPECT_EQ(report.kernels_on_gpu, 12u);
-  EXPECT_EQ(report.fallbacks_to_cpu, 0u);
-  EXPECT_GT(report.device_seconds, 0.0);
-  EXPECT_GT(report.gcups(), 0.0);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    DiffArgs a;
-    a.target = pairs[i].target.data();
-    a.tlen = 300;
-    a.query = pairs[i].query.data();
-    a.qlen = 300;
-    const auto cpu = reference_align(a);
-    EXPECT_EQ(report.results[i].score, cpu.score);
-  }
 }
 
 }  // namespace

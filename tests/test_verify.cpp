@@ -30,14 +30,6 @@ std::vector<std::pair<Layout, Isa>> diff_cells() {
   return cells;
 }
 
-std::vector<std::pair<Layout, Isa>> twopiece_cells() {
-  std::vector<std::pair<Layout, Isa>> cells;
-  for (const Layout layout : {Layout::kMinimap2, Layout::kManymap})
-    for (const Isa isa : available_isas())
-      if (get_twopiece_kernel(layout, isa) != nullptr) cells.push_back({layout, isa});
-  return cells;
-}
-
 CaseSpec base_spec() {
   CaseSpec s;
   s.target = seq("ACGTACGTTTGACCA");
@@ -80,21 +72,6 @@ TEST(Oracle, PassesEveryDiffBackend) {
         const CheckResult r = run_oracle(s);
         EXPECT_TRUE(r.ok) << s.combo() << ": " << r.failure;
       }
-    }
-  }
-}
-
-TEST(Oracle, PassesEveryTwoPieceBackend) {
-  CaseSpec s = base_spec();
-  s.family = Family::kTwoPiece;
-  for (const auto& [layout, isa] : twopiece_cells()) {
-    s.layout = layout;
-    s.isa = isa;
-    for (const bool cigar : {false, true}) {
-      s.with_cigar = cigar;
-      ASSERT_TRUE(runnable(s));
-      const CheckResult r = run_oracle(s);
-      EXPECT_TRUE(r.ok) << s.combo() << ": " << r.failure;
     }
   }
 }
@@ -180,14 +157,10 @@ TEST(Int8Contract, PreFixParameterSetsAreNowRejected) {
   // tests/data/regressions/int8_wrap_*.repro).
   const ScoreParams wrap{100, 60, 40, 10};
   EXPECT_FALSE(wrap.fits_int8());
-  const TwoPieceParams tp_wrap{100, 60, 30, 20, 44, 6};
-  EXPECT_FALSE(tp_wrap.fits_int8());
   // Production defaults all stay admitted.
   EXPECT_TRUE(ScoreParams{}.fits_int8());
   EXPECT_TRUE(ScoreParams::map_pb().fits_int8());
   EXPECT_TRUE(ScoreParams::map_ont().fits_int8());
-  EXPECT_TRUE(TwoPieceParams{}.fits_int8());
-  EXPECT_TRUE(TwoPieceParams::map_pb().fits_int8());
 }
 
 using Int8ContractDeathTest = ::testing::Test;
@@ -201,17 +174,6 @@ TEST(Int8ContractDeathTest, ScalarDiffKernelRefusesWrappingParams) {
   a.qlen = 4;
   a.params = ScoreParams{100, 60, 40, 10};
   EXPECT_DEATH(get_diff_kernel(Layout::kManymap, Isa::kScalar)(a), "int8");
-}
-
-TEST(Int8ContractDeathTest, ScalarTwoPieceKernelRefusesWrappingParams) {
-  TwoPieceArgs a;
-  const std::vector<u8> t = seq("ACGT"), q = seq("ACGT");
-  a.target = t.data();
-  a.tlen = 4;
-  a.query = q.data();
-  a.qlen = 4;
-  a.params = TwoPieceParams{100, 60, 30, 20, 44, 6};
-  EXPECT_DEATH(get_twopiece_kernel(Layout::kMinimap2, Isa::kScalar)(a), "int8");
 }
 
 TEST(Int8Contract, SaturationBoundaryParamsAgreeOnEveryBackend) {
@@ -243,24 +205,6 @@ TEST(Int8Contract, SaturationBoundaryParamsAgreeOnEveryBackend) {
   }
 }
 
-TEST(Int8Contract, TwoPieceBoundaryParamsAgreeOnEveryBackend) {
-  CaseSpec s;
-  s.family = Family::kTwoPiece;
-  s.tp = TwoPieceParams{90, 80, 20, 15, 34, 1};  // match + max(qk+ek) == 125
-  ASSERT_TRUE(s.tp.fits_int8());
-  s.target = seq("ACGTACGTACGTACGTACGTACGTGGGGGGGGGGGGGGGGGGGGACGTACGTACGTACGT");
-  s.query = seq("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT");
-  for (const auto& [layout, isa] : twopiece_cells()) {
-    s.layout = layout;
-    s.isa = isa;
-    for (const bool cigar : {false, true}) {
-      s.with_cigar = cigar;
-      const CheckResult r = run_oracle(s);
-      EXPECT_TRUE(r.ok) << s.combo() << ": " << r.failure;
-    }
-  }
-}
-
 // ---- fuzzer.
 
 TEST(Fuzzer, CasesAreDeterministic) {
@@ -271,7 +215,6 @@ TEST(Fuzzer, CasesAreDeterministic) {
     EXPECT_EQ(a.target, b.target);
     EXPECT_EQ(a.query, b.query);
     EXPECT_EQ(a.params.match, b.params.match);
-    EXPECT_EQ(a.tp.gap_open2, b.tp.gap_open2);
   }
 }
 
@@ -342,14 +285,15 @@ TEST(CigarProperty, ThousandFuzzedPairsPerBackend) {
 
 TEST(Repro, RoundTripsEveryField) {
   CaseSpec s;
-  s.family = Family::kTwoPiece;
+  s.family = Family::kDiff;
   s.layout = Layout::kMinimap2;
   s.isa = Isa::kAvx2;
   s.mode = AlignMode::kExtension;
   s.with_cigar = true;
   s.simt_threads = 128;
+  s.band = 16;
+  s.zdrop = 100;
   s.params = ScoreParams{5, 11, 10, 3};
-  s.tp = TwoPieceParams{4, 10, 6, 3, 30, 1};
   s.target = seq("ACGTN");
   s.query = {};
   const std::string text = format_repro(s, "round trip\nsecond line");
@@ -362,8 +306,9 @@ TEST(Repro, RoundTripsEveryField) {
   EXPECT_EQ(out.mode, s.mode);
   EXPECT_EQ(out.with_cigar, s.with_cigar);
   EXPECT_EQ(out.simt_threads, s.simt_threads);
+  EXPECT_EQ(out.band, s.band);
+  EXPECT_EQ(out.zdrop, s.zdrop);
   EXPECT_EQ(out.params.gap_open, 10);
-  EXPECT_EQ(out.tp.gap_open2, 30);
   EXPECT_EQ(out.target, s.target);
   EXPECT_EQ(out.query, s.query);
 }
@@ -373,6 +318,7 @@ TEST(Repro, RejectsBadInput) {
   std::string err;
   EXPECT_FALSE(parse_repro("not a repro\n", &out, &err));
   EXPECT_FALSE(parse_repro("manymap-verify-repro v1\nfamily nosuch\n", &out, &err));
+  EXPECT_FALSE(parse_repro("manymap-verify-repro v1\nfamily twopiece\n", &out, &err));
   EXPECT_FALSE(parse_repro("manymap-verify-repro v1\ntarget ACGZ\n", &out, &err));
 }
 
@@ -520,8 +466,6 @@ TEST(RegressionCorpus, EveryCommittedReproHolds) {
     std::string err;
     ASSERT_TRUE(load_repro_file(entry.path().string(), &spec, &err))
         << entry.path() << ": " << err;
-    const bool params_ok = spec.family == Family::kTwoPiece ? spec.tp.fits_int8()
-                                                            : spec.params.fits_int8();
     if (runnable(spec)) {
       const CheckResult r = run_oracle(spec);
       EXPECT_TRUE(r.ok) << entry.path() << " " << spec.combo() << ": " << r.failure;
@@ -529,7 +473,7 @@ TEST(RegressionCorpus, EveryCommittedReproHolds) {
       // degenerate one-row block schedule must be bit-identical to the
       // resident kernel on the committed case.
       if (entry.path().filename().string().rfind("longread_", 0) == 0 &&
-          (spec.family == Family::kDiff || spec.family == Family::kTwoPiece)) {
+          spec.family == Family::kDiff) {
         detail::KernelArena arena;
         const AlignResult resident = run_production(spec, &arena);
         MemDirsSpill sink;
@@ -540,7 +484,7 @@ TEST(RegressionCorpus, EveryCommittedReproHolds) {
         EXPECT_EQ(streamed.cigar.to_string(), resident.cigar.to_string()) << entry.path();
         if (spec.with_cigar) EXPECT_GT(sink.spilled_bytes(), 0u) << entry.path();
       }
-    } else if (params_ok) {
+    } else if (spec.params.fits_int8()) {
       // Params fine but the kernel is missing: only acceptable for ISAs this
       // machine genuinely lacks.
       EXPECT_NE(spec.isa, Isa::kScalar) << entry.path() << ": scalar must always exist";

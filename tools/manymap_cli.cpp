@@ -180,7 +180,7 @@ int cmd_map(const ArgList& args) {
                                                                     : PipelineKind::kManymap;
     const auto result = aligner.map_reads(reads, kind, threads);
     std::cout << result.paf;
-    mapped = result.stats.reads;
+    mapped = result.mapped;
   }
   std::fprintf(stderr, "[manymap] mapped %llu/%zu reads in %.3fs (%s layout, %s)\n",
                static_cast<unsigned long long>(mapped), reads.size(), timer.seconds(),

@@ -7,10 +7,10 @@
 // Sweep options:
 //   --seeds N        fuzz seeds to sweep (default 256)
 //   --first-seed S   first seed (default 1; seeds are S..S+N-1)
-//   --family F       diff|twopiece|simt|banded|bandfull|longread|gpu|e2e|
-//                    corruptidx|all (default all); `bandfull` sweeps the
-//                    banded kernel variants through the auto-full-fallback
-//                    contract against the unbanded reference; `longread`
+//   --family F       diff|simt|banded|bandfull|longread|gpu|e2e|corruptidx|
+//                    all (default all); `bandfull` sweeps the banded kernel
+//                    variants through the auto-full-fallback contract
+//                    against the unbanded reference; `longread`
 //                    sweeps the dirs streaming path end-to-end; `gpu`
 //                    sweeps device-vs-CPU agreement through the offload
 //                    subsystem (randomized batches and streams); `e2e`
@@ -45,12 +45,12 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: manymap_verify [--seeds N] [--first-seed S]\n"
-               "                      [--family diff|twopiece|simt|banded|bandfull|longread|gpu|e2e|corruptidx|all]\n"
+               "                      [--family diff|simt|banded|bandfull|longread|gpu|e2e|corruptidx|all]\n"
                "                      [--no-minimize] [--out DIR] [--quiet]\n"
                "       manymap_verify --smoke-longread N [--smoke-budget-mb M]\n"
                "       manymap_verify [--family gpu] --repro FILE [FILE...]\n"
                "\n"
-               "--family bandfull sweeps the banded diff/two-piece/SIMT kernel\n"
+               "--family bandfull sweeps the banded diff/SIMT kernel\n"
                "variants — covering, deliberately-narrow and zdrop bands — through\n"
                "the production band-hit -> rerun-unbanded fallback, so every final\n"
                "answer must still match the unbanded reference.\n"
@@ -181,11 +181,9 @@ int run_repros(const std::vector<std::string>& files, bool gpu) {
       // Either this machine lacks the ISA (skip) or the parameters violate
       // the int8 contract (the committed fix for saturation repros: the
       // kernels now refuse instead of silently corrupting lanes).
-      const bool params_ok = spec.family == verify::Family::kTwoPiece
-                                 ? spec.tp.fits_int8()
-                                 : spec.params.fits_int8();
       std::printf("%-60s %s\n", path.c_str(),
-                  params_ok ? "SKIP (ISA unavailable)" : "OK (params rejected by int8 contract)");
+                  spec.params.fits_int8() ? "SKIP (ISA unavailable)"
+                                          : "OK (params rejected by int8 contract)");
       continue;
     }
     const verify::CheckResult r = verify::run_oracle(spec);
@@ -237,10 +235,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--family") {
       const char* v = value();
       if (v == nullptr) return 2;
-      opt.family_diff = opt.family_twopiece = opt.family_simt = opt.family_banded =
-          opt.family_bandfull = false;
+      opt.family_diff = opt.family_simt = opt.family_banded = opt.family_bandfull = false;
       if (std::strcmp(v, "diff") == 0) opt.family_diff = true;
-      else if (std::strcmp(v, "twopiece") == 0) opt.family_twopiece = true;
       else if (std::strcmp(v, "simt") == 0) opt.family_simt = true;
       else if (std::strcmp(v, "banded") == 0) opt.family_banded = true;
       else if (std::strcmp(v, "bandfull") == 0) opt.family_bandfull = true;
@@ -249,8 +245,7 @@ int main(int argc, char** argv) {
       else if (std::strcmp(v, "e2e") == 0) family_e2e = true;
       else if (std::strcmp(v, "corruptidx") == 0) family_corruptidx = true;
       else if (std::strcmp(v, "all") == 0)
-        opt.family_diff = opt.family_twopiece = opt.family_simt = opt.family_banded =
-            opt.family_bandfull = true;
+        opt.family_diff = opt.family_simt = opt.family_banded = opt.family_bandfull = true;
       else {
         std::fprintf(stderr, "manymap_verify: unknown family '%s'\n", v);
         return 2;
