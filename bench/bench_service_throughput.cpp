@@ -1,11 +1,14 @@
-// Service throughput: requests/sec vs worker count and batch policy, plus
-// the device-offload section.
+// Service throughput: requests/sec vs worker count, plus the
+// device-offload section.
 //
-// Replays the same burst trace (fixed seed) through the alignment service
-// at 1/2/4 workers, with longest-first batching on and off. On multi-core
-// hosts req/s scales with workers; on a single hardware thread the table
-// still shows the batching/scheduling overheads staying flat. The serial
-// Mapper::map loop is printed first as the zero-overhead baseline.
+// Replays the same 2000-read burst trace (fixed seed) through the
+// alignment service kBursts times at each of 1/2/4 workers and reports the
+// median with the slowest and fastest burst. Bursts of a few hundred reads
+// last 0.1-0.3 s, too short for worker counts to rank above run-to-run
+// noise. On multi-core hosts req/s scales with workers; on a single
+// hardware thread the table still shows the scheduling overheads staying
+// flat. The serial Mapper::map loop is printed first as the zero-overhead
+// baseline.
 //
 // The GPU section replays a long-uniform burst (the shape the placement
 // policy is built to accept) through the gpu-enabled service and reports
@@ -19,6 +22,7 @@
 // `--smoke` runs a small gpu-enabled burst only and exits non-zero when no
 // batch was offloaded or any response diverged from the serial mapper —
 // CI's cheap guard that the offload path stays wired end to end.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -35,6 +39,9 @@
 namespace manymap {
 namespace {
 
+constexpr u32 kBurstReads = 2000;
+constexpr int kBursts = 5;
+
 struct Workload {
   Reference ref;
   std::vector<Sequence> reads;
@@ -47,7 +54,7 @@ Workload make_workload() {
   gp.seed = 99;
   w.ref = generate_genome(gp);
   ReadSimParams rp;
-  rp.num_reads = 300;
+  rp.num_reads = kBurstReads;
   rp.seed = 100;
   for (auto& sr : ReadSimulator(w.ref, rp).simulate()) w.reads.push_back(std::move(sr.read));
   return w;
@@ -105,12 +112,11 @@ BurstResult run_burst(const Workload& w, const ServiceConfig& cfg) {
   return out;
 }
 
-double run_once(const Workload& w, u32 workers, bool longest_first) {
+double run_once(const Workload& w, u32 workers) {
   ServiceConfig cfg;
   cfg.workers_per_shard = workers;
   cfg.ingress_capacity = 256;
   cfg.batch.max_batch_size = 16;
-  cfg.batch.longest_first = longest_first;
   return run_burst(w, cfg).wall_rps;
 }
 
@@ -195,17 +201,22 @@ int main(int argc, char** argv) {
     print_row("%-24s %10.1f req/s\n", "serial Mapper::map", w.reads.size() / t.seconds());
   }
   JsonRows json("service_throughput");
-  print_row("%-10s %-13s %12s\n", "workers", "batching", "req/s");
+  print_row("%-10s %12s %12s %12s   (%d bursts of %u reads)\n", "workers", "median req/s",
+            "min", "max", kBursts, kBurstReads);
   for (const u32 workers : {1u, 2u, 4u}) {
-    for (const bool longest_first : {true, false}) {
-      const double rps = run_once(w, workers, longest_first);
-      print_row("%-10u %-13s %12.1f\n", workers, longest_first ? "longest-first" : "fifo", rps);
-      host_row(json)
-          .field("mode", "cpu")
-          .field("workers", static_cast<u64>(workers))
-          .field("batching", longest_first ? "longest-first" : "fifo")
-          .field("requests_per_sec", rps);
-    }
+    std::vector<double> rps;
+    for (int b = 0; b < kBursts; ++b) rps.push_back(run_once(w, workers));
+    std::sort(rps.begin(), rps.end());
+    const double median = rps[rps.size() / 2];
+    print_row("%-10u %12.1f %12.1f %12.1f\n", workers, median, rps.front(), rps.back());
+    host_row(json)
+        .field("mode", "cpu")
+        .field("workers", static_cast<u64>(workers))
+        .field("burst_reads", static_cast<u64>(kBurstReads))
+        .field("bursts", static_cast<u64>(kBursts))
+        .field("requests_per_sec", median)
+        .field("requests_per_sec_min", rps.front())
+        .field("requests_per_sec_max", rps.back());
   }
 
   // Device offload on long uniform batches, default placement boundaries.
@@ -216,7 +227,7 @@ int main(int argc, char** argv) {
             "stream-util", "staged-MB", "dev req/s", "cpu req/s");
   const Workload gw = make_gpu_workload(/*num_reads=*/96, /*mean_len=*/1800, 1200, 2600);
   for (const u32 workers : {2u}) {
-    const double cpu_rps = run_once(gw, workers, /*longest_first=*/true);
+    const double cpu_rps = run_once(gw, workers);
     const BurstResult g = run_burst(gw, gpu_config(workers));
     const u64 batches = g.snap.gpu_offload_batches + g.snap.gpu_cpu_batches;
     const double offload_frac =

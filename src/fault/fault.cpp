@@ -101,7 +101,7 @@ const std::vector<std::string>& known_sites() {
       "io.file.read",            // whole-file read
       "io.file.write",           // whole-file write
       "io.mmap.open",            // MappedFile::open (native bool failure)
-      "service.queue.delay",     // scheduler -> shard queue handoff (delay only)
+      "service.queue.delay",     // scheduler -> batch queue handoff (delay only)
       "service.worker.compute",  // worker per-request compute
       "simt.pool.alloc",         // SIMT memory pool (native nullopt failure)
   };

@@ -7,7 +7,7 @@ namespace manymap {
 namespace {
 
 /// While lingering, how often the scheduler re-asks whether a worker went
-/// idle (the worker waits on its shard queue, not on the ingress).
+/// idle (the worker waits on the batch queue, not on the ingress).
 constexpr std::chrono::microseconds kIdlePoll{100};
 
 }  // namespace
@@ -37,14 +37,6 @@ u64 BatchScheduler::run(const std::function<void(RequestBatch&&)>& emit,
         }
       }
       batch.items.push_back(std::move(*item));
-    }
-    if (policy_.longest_first) {
-      // Stable: equal-length reads keep arrival order, so batch contents
-      // are a deterministic function of the request stream.
-      std::stable_sort(batch.items.begin(), batch.items.end(),
-                       [](const PendingRequest& a, const PendingRequest& b) {
-                         return a.req.read.size() > b.req.read.size();
-                       });
     }
     batch.id = emitted++;
     batch.handed_off = clock::now();

@@ -1,13 +1,14 @@
 // Coalesces individual requests from the ingress queue into compute
-// batches. Flush policy (work-conserving): a request is handed off at once
-// while some worker waits on an empty shard queue; otherwise the batch
-// takes whatever the ingress already holds, up to `max_batch_size`, and is
-// handed off without waiting. Under load the ingress refills while a full
-// shard queue blocks the hand-off, so batches still grow to
-// `max_batch_size`. A positive `max_delay` opts into lingering for fuller
-// batches, but only while no worker is idle. Before emission the batch is
-// optionally sorted longest-first (the paper's §4.4.4 load balancing:
-// slow long reads start early, workers finish together).
+// batches, in arrival order. Flush policy (work-conserving): a request is
+// handed off at once while some worker waits on an empty batch queue;
+// otherwise the batch takes whatever the ingress already holds, up to
+// `max_batch_size`, and is handed off without waiting. Under load the
+// ingress refills while a full batch queue blocks the hand-off, so
+// batches still grow to `max_batch_size`. A positive `max_delay` opts
+// into lingering for fuller batches, but only while no worker is idle.
+// No sort: one worker serves a batch item by item, so reordering it
+// cannot balance work across workers and would only make its short reads
+// wait behind its long ones.
 #pragma once
 
 #include <chrono>
@@ -31,10 +32,6 @@ struct PendingRequest {
 struct RequestBatch {
   u64 id = 0;
   std::vector<PendingRequest> items;
-  /// Estimated peak dirs bytes of the batch (sum of per-request
-  /// estimate_dirs_bytes), filled at dispatch for footprint-aware shard
-  /// accounting; 0 when no memory budget is configured.
-  u64 est_dirs_bytes = 0;
   /// When the scheduler handed the batch off: splits each request's wait
   /// into batch wait (enqueued -> handed_off) and shard wait (-> compute).
   std::chrono::steady_clock::time_point handed_off{};
@@ -42,12 +39,6 @@ struct RequestBatch {
   /// the re-queued batch must stay on the CPU path, which also makes the
   /// re-queue happen at most once per original batch.
   bool cpu_only = false;
-
-  u64 total_bases() const {
-    u64 n = 0;
-    for (const auto& p : items) n += p.req.read.size();
-    return n;
-  }
 };
 
 struct BatchPolicy {
@@ -56,7 +47,6 @@ struct BatchPolicy {
   /// while no worker is idle (e.g. to feed device offload fuller batches).
   /// 0 hands a batch off as soon as the ingress holds nothing more for it.
   std::chrono::microseconds max_delay{0};
-  bool longest_first = true;  ///< §4.4.4 ordering inside each batch
 };
 
 class BatchScheduler {
@@ -67,7 +57,7 @@ class BatchScheduler {
   /// Pulls from the ingress queue until it is closed and drained, calling
   /// `emit` for every flushed batch (ids are consecutive from 0). Runs on
   /// the caller's thread; returns the number of batches emitted. `emit`
-  /// may block (e.g. on a full shard queue) — that is the backpressure
+  /// may block (e.g. on a full batch queue) — that is the backpressure
   /// path that grows the next batch, and eventually fills the ingress
   /// queue and trips admission control. `worker_idle` reports whether
   /// some worker is waiting with nothing queued for it; while it does,

@@ -18,7 +18,6 @@
 namespace manymap {
 
 struct BreakerConfig {
-  bool enabled = true;
   u32 failure_threshold = 8;  ///< failures within `window` that open the breaker
   std::chrono::milliseconds window{1000};
   std::chrono::milliseconds cooldown{500};  ///< open duration before retrying
@@ -29,7 +28,6 @@ class CircuitBreaker {
   explicit CircuitBreaker(BreakerConfig cfg) : cfg_(cfg) {}
 
   void on_failure(std::chrono::steady_clock::time_point now) {
-    if (!cfg_.enabled) return;
     std::lock_guard lock(mu_);
     failures_.push_back(now);
     prune(now);
@@ -43,7 +41,6 @@ class CircuitBreaker {
   /// True while the breaker is open (degraded mode). Closes itself once
   /// the cooldown elapses.
   bool degraded(std::chrono::steady_clock::time_point now) {
-    if (!cfg_.enabled) return false;
     std::lock_guard lock(mu_);
     if (open_ && now - opened_at_ >= cfg_.cooldown) {
       open_ = false;

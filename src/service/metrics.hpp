@@ -76,7 +76,6 @@ enum class MetricGroup : u8 {
   X(streamed_responses, u64, kCounter, kMemory, "kOk answers that streamed dirs to a sink")  \
   X(mem_score_only, u64, kCounter, kMemory, "kOk answers shed to score-only by the cap")     \
   X(dirs_spilled_bytes, u64, kCounter, kMemory, "direction bytes written to spill sinks")    \
-  X(budget_redirects, u64, kCounter, kMemory, "batches routed off an over-budget shard")     \
   X(arena_trims, u64, kCounter, kMemory, "idle workers that released DP arena memory")       \
   X(verified, u64, kCounter, kVerify, "live mappings replayed through the oracle")           \
   X(verify_divergences, u64, kCounter, kVerify, "oracle disagreements among those")          \

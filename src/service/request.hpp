@@ -57,9 +57,8 @@ struct MapResponse {
   MapTimings timings;             ///< seed/chain/align stage breakdown
   double queue_ms = 0.0;          ///< submit -> compute start (or verdict); the sum of:
   double batch_wait_ms = 0.0;     ///<   submit -> batch handed off by the scheduler
-  double shard_wait_ms = 0.0;     ///<   hand-off -> compute start (shard queue)
+  double shard_wait_ms = 0.0;     ///<   hand-off -> compute start (batch queue)
   double compute_ms = 0.0;        ///< Mapper::map wall time
-  u32 shard = 0;                  ///< worker shard that served the request
   u64 batch_id = 0;               ///< compute batch the request rode in
   u32 batch_size = 0;             ///< size of that batch
   std::string error;              ///< what went wrong (kFailed only)

@@ -62,13 +62,20 @@ void stamp_waits(MapResponse& resp, const PendingRequest& p, const RequestBatch&
 
 }  // namespace
 
+std::chrono::milliseconds stall_bound(const ServiceConfig& cfg) {
+  if (cfg.gpu.enabled) return cfg.watchdog.stall_timeout * 25;
+  if (cfg.verify_sample_every > 0) return cfg.watchdog.stall_timeout * 10;
+  return cfg.watchdog.stall_timeout;
+}
+
 AlignmentService::AlignmentService(const Reference& ref, ServiceConfig cfg)
     : cfg_(cfg),
       ref_(ref),
       breaker_(cfg.breaker),
       gpu_(make_gpu(cfg.gpu)),
       metrics_(&breaker_, gpu_.get()),
-      ingress_(cfg.ingress_capacity) {
+      ingress_(cfg.ingress_capacity),
+      batches_(cfg.shard_queue_capacity) {
   if (cfg_.index.load_path.empty()) {
     // Classic synchronous construction: the index is built before the
     // first request can be admitted.
@@ -88,7 +95,8 @@ AlignmentService::AlignmentService(const Reference& ref, MinimizerIndex index, S
       breaker_(cfg.breaker),
       gpu_(make_gpu(cfg.gpu)),
       metrics_(&breaker_, gpu_.get()),
-      ingress_(cfg.ingress_capacity) {
+      ingress_(cfg.ingress_capacity),
+      batches_(cfg.shard_queue_capacity) {
   publish_mapper(std::make_shared<const Mapper>(ref, std::move(index), cfg_.map));
   start();
 }
@@ -194,22 +202,16 @@ void AlignmentService::reload_loop(std::string path) {
 }
 
 void AlignmentService::start() {
-  MM_REQUIRE(cfg_.shards > 0 && cfg_.workers_per_shard > 0, "service needs workers");
-  shards_.reserve(cfg_.shards);
-  for (u32 s = 0; s < cfg_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(cfg_.shard_queue_capacity));
-    Shard& shard = *shards_.back();
-    std::lock_guard lock(shard.mu);  // the watchdog scans this vector
+  MM_REQUIRE(cfg_.workers_per_shard > 0, "service needs workers");
+  {
+    std::lock_guard lock(workers_mu_);  // the watchdog scans this vector
     for (u32 w = 0; w < cfg_.workers_per_shard; ++w) {
       auto state = std::make_shared<WorkerState>();
       state->heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-      shard.workers.push_back(
-          {std::thread([this, s, state] { worker_loop(s, state); }), state});
+      workers_.push_back({std::thread([this, state] { worker_loop(state); }), state});
     }
   }
-  if (cfg_.watchdog.enabled)
-    for (u32 s = 0; s < cfg_.shards; ++s)
-      shards_[s]->watchdog = std::thread([this, s] { watchdog_loop(s); });
+  watchdog_ = std::thread([this] { watchdog_loop(); });
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
 
@@ -259,83 +261,23 @@ std::future<MapResponse> AlignmentService::submit_wait(MapRequest req) {
   return admit(std::move(req), /*blocking=*/true);
 }
 
-void AlignmentService::dispatch_batch(RequestBatch&& batch) {
-  MM_INJECT_DELAY("service.queue.delay");
-  if (cfg_.mem.shard_budget_bytes > 0) {
-    for (const auto& p : batch.items)
-      batch.est_dirs_bytes += estimate_dirs_bytes(cfg_.map, p.req.read.size());
-  }
-  u32 target = 0;
-  if (const std::optional<u32> idle = idle_shard()) {
-    // Work conservation: a shard with a worker waiting on an empty queue
-    // takes the batch ahead of the dispatch policy.
-    target = *idle;
-  } else if (cfg_.dispatch == ServiceConfig::Dispatch::kRoundRobin || shards_.size() == 1) {
-    target = static_cast<u32>(rr_next_++ % shards_.size());
-  } else {
-    u64 best = shards_[0]->outstanding_bases.load(std::memory_order_relaxed);
-    for (u32 s = 1; s < shards_.size(); ++s) {
-      const u64 load = shards_[s]->outstanding_bases.load(std::memory_order_relaxed);
-      if (load < best) {
-        best = load;
-        target = s;
-      }
-    }
-  }
-  // Footprint-aware gating: a batch headed for a shard already over its
-  // estimated dirs budget is redirected to the shard with the least dirs
-  // in flight (never blocked — queue backpressure still bounds the rest).
-  if (cfg_.mem.shard_budget_bytes > 0 && shards_.size() > 1) {
-    const u64 cur = shards_[target]->outstanding_dirs_bytes.load(std::memory_order_relaxed);
-    if (cur + batch.est_dirs_bytes > cfg_.mem.shard_budget_bytes) {
-      u32 leanest = target;
-      u64 least = cur;
-      for (u32 s = 0; s < shards_.size(); ++s) {
-        const u64 v = shards_[s]->outstanding_dirs_bytes.load(std::memory_order_relaxed);
-        if (v < least) {
-          least = v;
-          leanest = s;
-        }
-      }
-      if (leanest != target) {
-        target = leanest;
-        metrics_.add<Metric::budget_redirects>();
-      }
-    }
-  }
-  shards_[target]->outstanding_bases.fetch_add(batch.total_bases(), std::memory_order_relaxed);
-  shards_[target]->outstanding_dirs_bytes.fetch_add(batch.est_dirs_bytes,
-                                                    std::memory_order_relaxed);
-  shards_[target]->queue.push(std::move(batch));  // blocking: backpressure
-}
-
-std::optional<u32> AlignmentService::idle_shard() const {
-  std::optional<u32> best;
-  std::size_t most = 0;
-  for (u32 s = 0; s < shards_.size(); ++s) {
-    const std::size_t idle = shards_[s]->queue.idle_consumers();
-    if (idle > most) {
-      most = idle;
-      best = s;
-    }
-  }
-  return best;
-}
-
 void AlignmentService::scheduler_loop() {
   BatchScheduler scheduler(ingress_, cfg_.batch);
-  scheduler.run([this](RequestBatch&& batch) { dispatch_batch(std::move(batch)); },
-                [this] { return idle_shard().has_value(); });
+  scheduler.run(
+      [this](RequestBatch&& batch) {
+        MM_INJECT_DELAY("service.queue.delay");
+        batches_.push(std::move(batch));  // blocking: backpressure
+      },
+      [this] { return batches_.idle_consumers() > 0; });
   // Ingress is closed and fully drained: let the workers run dry.
-  for (auto& shard : shards_) shard->queue.close();
+  batches_.close();
 }
 
-MapResponse AlignmentService::serve_one(PendingRequest& p, u32 shard_id,
-                                        const RequestBatch& batch, const Mapper* mapper,
-                                        detail::KernelArena* arena, GpuServe* gpu) {
+MapResponse AlignmentService::serve_one(PendingRequest& p, const RequestBatch& batch,
+                                        const Mapper* mapper, detail::KernelArena* arena,
+                                        GpuServe* gpu) {
   MapResponse resp;
   resp.id = p.req.id;
-  resp.shard = shard_id;
   resp.batch_id = batch.id;
   resp.batch_size = static_cast<u32>(batch.items.size());
   const auto compute_start = std::chrono::steady_clock::now();
@@ -363,13 +305,6 @@ MapResponse AlignmentService::serve_one(PendingRequest& p, u32 shard_id,
                               resp.est_dirs_bytes > cfg_.mem.score_only_above_bytes;
   const bool stream_dirs = !mem_score_only && cfg_.mem.resident_request_bytes > 0 &&
                            resp.est_dirs_bytes > cfg_.mem.resident_request_bytes;
-  // Banded rung: narrow the kernel band before (or on top of) streaming —
-  // banded dirs rows are O(band) instead of O(|Q|), and the mapper's
-  // auto-full fallback keeps the answers exact. Only when the options do
-  // not already configure a band.
-  const bool band_degrade = !mem_score_only && cfg_.map.band <= 0 &&
-                            cfg_.mem.banded_request_bytes > 0 &&
-                            resp.est_dirs_bytes > cfg_.mem.banded_request_bytes;
   try {
     MM_INJECT("service.worker.compute");
     WallTimer t;
@@ -379,10 +314,6 @@ MapResponse AlignmentService::serve_one(PendingRequest& p, u32 shard_id,
     call.score_only = degraded || mem_score_only;
     call.arena = arena;
     if (stream_dirs) call.dirs_budget_bytes = cfg_.mem.resident_request_bytes;
-    if (band_degrade) {
-      call.band = cfg_.mem.degrade_band;
-      call.zdrop = cfg_.mem.degrade_zdrop;
-    }
     // Device offload: route every DP segment of this request through the
     // batch mapper. The override bypasses the CPU fallback ladder by
     // contract — GpuBatchMapper owns failure recovery (every device-side
@@ -471,11 +402,10 @@ void AlignmentService::maybe_verify_live(const MapRequest& req, const MapRespons
   const u64 n = ok_responses_.fetch_add(1, std::memory_order_relaxed);
   if (n % cfg_.verify_sample_every != 0) return;
   // Degraded responses are sampled like any other kOk answer — graceful
-  // degradation is verified, not just survived. Streamed/banded answers
-  // carry full CIGARs and replay through the complete live oracle;
-  // score-only answers (breaker open or footprint cap) have no path to
-  // rescore, so they route to the span-sanity audit instead of being
-  // silently skipped.
+  // degradation is verified, not just survived. Streamed answers carry
+  // full CIGARs and replay through the complete live oracle; score-only
+  // answers (breaker open or footprint cap) have no path to rescore, so
+  // they route to the span-sanity audit instead of being silently skipped.
   const bool degraded_resp = resp.degraded || resp.degrade != DegradeLevel::kNone;
   const std::vector<u8> rc = reverse_complement(req.read.codes);
   for (const Mapping& m : resp.mappings) {
@@ -503,8 +433,7 @@ void AlignmentService::maybe_verify_live(const MapRequest& req, const MapRespons
   }
 }
 
-void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> state) {
-  Shard& shard = *shards_[shard_id];
+void AlignmentService::worker_loop(std::shared_ptr<WorkerState> state) {
   // One DP arena per worker thread, reused across every request this
   // worker ever serves: after warm-up the alignment hot path is
   // allocation-free. Dies with the worker (a respawned worker warms its
@@ -519,18 +448,14 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
       gpu_ ? gpu_stream_next_.fetch_add(1, std::memory_order_relaxed) % cfg_.gpu.batch.num_streams
            : 0;
   for (;;) {
+    // Deadline-aware pop so a quiet worker can release its DP memory:
+    // every idle interval without a batch trims the arena down to the
+    // retained floor (a no-op once already trimmed — no metric spam).
     std::optional<RequestBatch> popped;
-    if (cfg_.idle_trim.enabled) {
-      // Deadline-aware pop so a quiet worker can release its DP memory:
-      // every idle interval without a batch trims the arena down to the
-      // retained floor (a no-op once already trimmed — no metric spam).
-      for (;;) {
-        popped = shard.queue.pop_for(cfg_.idle_trim.after_idle);
-        if (popped || shard.queue.closed()) break;
-        if (arena.trim(cfg_.idle_trim.retain_bytes) > 0) metrics_.add<Metric::arena_trims>();
-      }
-    } else {
-      popped = shard.queue.pop();
+    for (;;) {
+      popped = batches_.pop_for(cfg_.idle_trim.after_idle);
+      if (popped || batches_.closed()) break;
+      if (arena.trim(cfg_.idle_trim.retain_bytes) > 0) metrics_.add<Metric::arena_trims>();
     }
     if (!popped) return;
     auto batch = std::make_shared<RequestBatch>(std::move(*popped));
@@ -547,8 +472,6 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
       state->next = 0;
       state->done = 0;
       state->taken_over = false;
-      state->batch_bases = batch->total_bases();
-      state->batch_dirs_bytes = batch->est_dirs_bytes;
     }
     state->busy.store(true, std::memory_order_release);
     // Placement: the length distribution of the popped batch decides CPU
@@ -586,7 +509,7 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
       state->heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
       PendingRequest& p = batch->items[idx];
       // compute outside the lock
-      MapResponse resp = serve_one(p, shard_id, *batch, mapper_snap.get(), &arena, gpu_serve);
+      MapResponse resp = serve_one(p, *batch, mapper_snap.get(), &arena, gpu_serve);
       std::optional<RequestBatch> requeue;
       {
         std::lock_guard lock(state->mu);
@@ -602,7 +525,7 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
         // Device launch failure: pull the unclaimed remainder out of the
         // batch (under the same lock the watchdog and the claim loop use,
         // so no item is dropped or duplicated) and hand it back to the
-        // shard queue as a cpu_only batch. Exactly once: gpu_serve is
+        // batch queue as a cpu_only batch. Exactly once: gpu_serve is
         // cleared below and the remainder can never re-offload.
         if (gpu_serve != nullptr && gpu_ctx.launch_failed &&
             state->next < batch->items.size()) {
@@ -614,25 +537,21 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
           for (std::size_t i = state->next; i < batch->items.size(); ++i)
             rest.items.push_back(std::move(batch->items[i]));
           batch->items.resize(state->next);
-          state->batch_bases -= rest.total_bases();
           requeue = std::move(rest);
         }
       }
       if (gpu_serve != nullptr && gpu_ctx.launch_failed) gpu_serve = nullptr;
       if (requeue) {
         metrics_.add<Metric::gpu_requeued_batches>();
-        const u64 rest_bases = requeue->total_bases();
-        shard.outstanding_bases.fetch_add(rest_bases, std::memory_order_relaxed);
         // try_push, never push: this worker is one of the queue's own
-        // consumers, so blocking on a full queue could deadlock the shard.
-        if (!shard.queue.try_push(std::move(*requeue))) {
+        // consumers, so blocking on a full queue could deadlock the pool.
+        if (!batches_.try_push(std::move(*requeue))) {
           // Queue full (or closing): serve the remainder inline on the CPU
           // path. These items left the shared batch under the lock above,
           // so they are owned solely by this worker — no taken_over
           // consultation applies to them.
-          shard.outstanding_bases.fetch_sub(rest_bases, std::memory_order_relaxed);
           for (auto& rp : requeue->items) {
-            MapResponse rr = serve_one(rp, shard_id, *requeue, mapper_snap.get(), &arena, nullptr);
+            MapResponse rr = serve_one(rp, *requeue, mapper_snap.get(), &arena, nullptr);
             account(rp, rr);
             rp.promise.set_value(std::move(rr));
           }
@@ -644,13 +563,11 @@ void AlignmentService::worker_loop(u32 shard_id, std::shared_ptr<WorkerState> st
     // accumulated launches through the occupancy tracker.
     if (gpu_ctx.mapper != nullptr) gpu_->flush();
     if (lost_batch) return;  // we were replaced; the respawn serves on
-    shard.outstanding_bases.fetch_sub(state->batch_bases, std::memory_order_relaxed);
-    shard.outstanding_dirs_bytes.fetch_sub(state->batch_dirs_bytes, std::memory_order_relaxed);
   }
 }
 
-void AlignmentService::watchdog_loop(u32 shard_id) {
-  Shard& shard = *shards_[shard_id];
+void AlignmentService::watchdog_loop() {
+  const auto bound = stall_bound(cfg_);
   for (;;) {
     {
       std::unique_lock lock(watchdog_mu_);
@@ -658,13 +575,13 @@ void AlignmentService::watchdog_loop(u32 shard_id) {
       if (watchdog_stop_) return;
     }
     const auto now = std::chrono::steady_clock::now();
-    std::lock_guard shard_lock(shard.mu);
-    for (auto& handle : shard.workers) {
+    std::lock_guard workers_lock(workers_mu_);
+    for (auto& handle : workers_) {
       WorkerState& st = *handle.state;
       if (!st.busy.load(std::memory_order_acquire)) continue;
       const auto beat = std::chrono::steady_clock::time_point(
           std::chrono::steady_clock::duration(st.heartbeat_ns.load(std::memory_order_relaxed)));
-      if (now - beat < cfg_.watchdog.stall_timeout) continue;
+      if (now - beat < bound) continue;
 
       // Stalled: take the batch over and fail every unresolved item. The
       // worker checks `taken_over` under st.mu before resolving anything,
@@ -682,7 +599,6 @@ void AlignmentService::watchdog_loop(u32 shard_id) {
           PendingRequest& p = batch->items[i];
           MapResponse resp;
           resp.id = p.req.id;
-          resp.shard = shard_id;
           resp.batch_id = batch->id;
           resp.batch_size = static_cast<u32>(batch->items.size());
           resp.status = RequestStatus::kFailed;
@@ -692,18 +608,16 @@ void AlignmentService::watchdog_loop(u32 shard_id) {
           metrics_.add<Metric::failed>();
           breaker_.on_failure(now);
         }
-        shard.outstanding_bases.fetch_sub(st.batch_bases, std::memory_order_relaxed);
-        shard.outstanding_dirs_bytes.fetch_sub(st.batch_dirs_bytes, std::memory_order_relaxed);
       }
       metrics_.add<Metric::worker_stalls>();
 
       // Retire the stuck thread (joined at shutdown; stalls are finite) and
-      // respawn a fresh worker so the shard keeps its capacity.
-      shard.retired.push_back(std::move(handle.thread));
+      // respawn a fresh worker so the pool keeps its capacity.
+      retired_.push_back(std::move(handle.thread));
       auto fresh = std::make_shared<WorkerState>();
       fresh->heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
       handle.state = fresh;
-      handle.thread = std::thread([this, shard_id, fresh] { worker_loop(shard_id, fresh); });
+      handle.thread = std::thread([this, fresh] { worker_loop(fresh); });
       metrics_.add<Metric::worker_respawns>();
     }
   }
@@ -724,23 +638,20 @@ void AlignmentService::shutdown() {
     if (reload_thread_.joinable()) reload_thread_.join();
   }
   ingress_.close();   // no new admissions; queued requests still served
-  scheduler_.join();  // flushes the final partial batch, closes shards
-  // Stop the watchdogs BEFORE joining workers so no respawn races the
+  scheduler_.join();  // flushes the final partial batch, closes the batch queue
+  // Stop the watchdog BEFORE joining workers so no respawn races the
   // join below; in-flight batches still drain (stalls are finite).
   {
     std::lock_guard lock(watchdog_mu_);
     watchdog_stop_ = true;
   }
   watchdog_cv_.notify_all();
-  for (auto& shard : shards_)
-    if (shard->watchdog.joinable()) shard->watchdog.join();
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mu);
-    for (auto& handle : shard->workers)
-      if (handle.thread.joinable()) handle.thread.join();
-    for (auto& t : shard->retired)
-      if (t.joinable()) t.join();
-  }
+  watchdog_.join();
+  std::lock_guard lock(workers_mu_);
+  for (auto& handle : workers_)
+    if (handle.thread.joinable()) handle.thread.join();
+  for (auto& t : retired_)
+    if (t.joinable()) t.join();
 }
 
 }  // namespace manymap

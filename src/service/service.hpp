@@ -1,9 +1,8 @@
 // The always-on alignment service: many concurrent clients submit
-// MapRequests; a scheduler thread coalesces them into longest-first
-// batches (§4.4.4); sharded worker pools align them against an immutable
-// MinimizerIndex snapshot (hot-swappable via begin_index_reload — workers
-// snapshot once per batch); every request resolves a future with a
-// MapResponse.
+// MapRequests; a scheduler thread coalesces them into batches in arrival
+// order; one worker pool aligns them against an immutable MinimizerIndex
+// snapshot (hot-swappable via begin_index_reload — workers snapshot once
+// per batch); every request resolves a future with a MapResponse.
 //
 //   AlignmentService svc(ref, cfg);                 // index built once
 //   auto fut = svc.submit({id, read, deadline});    // non-blocking admission
@@ -12,14 +11,17 @@
 //
 // Threading model (all connected by BoundedQueues):
 //
-//   clients --submit--> [ingress queue] --scheduler--> per-shard batch
-//   queues --workers--> promise fulfilment
+//   clients --submit--> [ingress queue] --scheduler--> [batch queue]
+//   --workers--> promise fulfilment
 //
 // The scheduler is work-conserving: while a worker waits on an empty
-// shard queue, each request goes straight to that shard as a batch of
-// one; otherwise a batch takes what the ingress already holds (up to
-// max_batch_size), so batches grow only while the shard queues back up.
-// MapResponse splits the wait at the hand-off (batch_wait_ms,
+// batch queue, each request goes straight to it as a batch of one;
+// otherwise a batch takes what the ingress already holds (up to
+// max_batch_size), so batches grow only while the batch queue backs up.
+// A worker serves its batch item by item, so order inside a batch cannot
+// balance work across workers; the paper's longest-first sort (§4.4.4)
+// lives in src/pipeline, where compute_batch splits one batch across
+// threads. MapResponse splits the wait at the hand-off (batch_wait_ms,
 // shard_wait_ms).
 //
 // Admission control happens at the ingress queue: submit() uses try_push
@@ -33,9 +35,9 @@
 // Graceful degradation (this file + breaker.hpp + align/fallback.hpp):
 //  - worker exceptions become structured kFailed responses, never broken
 //    promises — every submitted request resolves exactly once;
-//  - a per-shard watchdog detects workers stuck in compute, fails their
-//    in-flight batch with kFailed, and respawns the worker (retired
-//    threads are joined at shutdown);
+//  - a watchdog detects workers stuck in compute past stall_bound(cfg),
+//    fails their in-flight batch with kFailed, and respawns the worker
+//    (retired threads are joined at shutdown);
 //  - a circuit breaker opens on sustained failure and sheds to score-only
 //    alignment (no CIGAR pass) until a cooldown elapses;
 //  - kernel failures climb the fallback ladder (SIMD -> scalar -> banded
@@ -48,7 +50,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -63,27 +64,22 @@ namespace manymap {
 
 struct ServiceConfig {
   MapOptions map = MapOptions::map_pb();
-  /// Worker shards: each shard has its own batch queue and worker pool,
-  /// all sharing the one immutable index (Mapper::map is const).
-  u32 shards = 1;
+  /// Worker threads, all serving the one batch queue and sharing the one
+  /// immutable index (Mapper::map is const). Named for the sharded pool
+  /// it replaced; perfbench/ sets this field by name.
   u32 workers_per_shard = 2;
-  /// How the scheduler picks a shard for each batch.
-  enum class Dispatch {
-    kRoundRobin,
-    kLeastLoaded,  ///< length-aware: fewest outstanding bases wins
-  };
-  Dispatch dispatch = Dispatch::kRoundRobin;
   std::size_t ingress_capacity = 64;      ///< admission-control bound
-  std::size_t shard_queue_capacity = 4;   ///< batches buffered per shard
+  std::size_t shard_queue_capacity = 4;   ///< batches buffered for the workers
   BatchPolicy batch{};
   bool paf_with_cigar = false;  ///< append cg:Z: tags to response PAF
 
-  /// Per-shard watchdog: detects workers stuck in compute for longer than
-  /// `stall_timeout`, fails their in-flight batch, respawns the worker.
+  /// Watchdog: detects workers stuck in compute for longer than
+  /// stall_bound(*this), fails their in-flight batch, respawns the worker.
   struct WatchdogConfig {
-    bool enabled = true;
     std::chrono::milliseconds poll{100};
-    /// Must exceed the worst-case legitimate compute time of one request.
+    /// Must exceed the worst-case legitimate compute time of one request
+    /// on the CPU path without live audits; stall_bound() scales it for
+    /// the work the rest of the config adds.
     std::chrono::milliseconds stall_timeout{10'000};
   };
   WatchdogConfig watchdog{};
@@ -96,10 +92,6 @@ struct ServiceConfig {
   /// estimate_dirs_bytes (the worst single kernel of a Mapper::map call);
   /// each rung is independently disabled by 0.
   struct MemoryConfig {
-    /// Per-shard ceiling on estimated in-flight dirs bytes. The scheduler
-    /// gates dispatch on it: a batch headed for an over-budget shard is
-    /// redirected to the shard with the least estimated dirs in flight.
-    u64 shard_budget_bytes = 0;
     /// Per-request resident dirs ceiling: a request estimated above it is
     /// served with streamed dirs (MapCall::dirs_budget_bytes = this), so
     /// its peak resident direction bytes stay bounded while finished
@@ -109,24 +101,14 @@ struct ServiceConfig {
     /// pass entirely (score-only, DegradeLevel::kScoreOnly) — even the
     /// spilled volume would be unreasonable to produce.
     u64 score_only_above_bytes = 0;
-    /// Banded rung: requests estimated above it are served with a
-    /// narrowed kernel band (MapCall::band = degrade_band), shrinking
-    /// dirs rows and DP cells to O(band) per diagonal. Results stay exact
-    /// — a banded kernel that cannot prove its answer optimal is rerun
-    /// unbanded by the mapper (MapTimings::band_fallbacks counts those).
-    /// Ignored when MapOptions::band is already set.
-    u64 banded_request_bytes = 0;
-    i32 degrade_band = 251;
-    i32 degrade_zdrop = 0;
   };
   MemoryConfig mem{};
 
   /// Idle-arena trimming: a worker that has seen no batch for
   /// `after_idle` trims its DP arena down to `retain_bytes`, so a quiet
-  /// shard releases its warm-path memory (the next batch re-grows it;
+  /// service releases its warm-path memory (the next batch re-grows it;
   /// results are unaffected — the arena is pure scratch).
   struct IdleTrimConfig {
-    bool enabled = true;
     std::chrono::milliseconds after_idle{500};
     u64 retain_bytes = u64{1} << 20;
   };
@@ -171,9 +153,14 @@ struct ServiceConfig {
   /// Cap on t_span*q_span for the exact reference replay of a sampled
   /// mapping (the reference DP is O(cells) int64 memory).
   u64 verify_max_cells = 4'000'000;
-
-  u32 total_workers() const { return shards * workers_per_shard; }
 };
+
+/// The watchdog's stall bound: `watchdog.stall_timeout` sized to the work
+/// the config adds to one request. The simulated device runs its lanes
+/// through a cycle-accurate interpreter (~25x native wall time), and a
+/// live audit replays sampled mappings through a reference DP (~10x). The
+/// device factor already clears the audit overhead, so they never stack.
+std::chrono::milliseconds stall_bound(const ServiceConfig& cfg);
 
 class AlignmentService {
  public:
@@ -225,7 +212,7 @@ class AlignmentService {
   bool begin_index_reload(const std::string& path);
 
  private:
-  /// Claim/resolve state shared between one worker thread and the shard
+  /// Claim/resolve state shared between one worker thread and the
   /// watchdog. The worker claims items and resolves promises only under
   /// `mu`; when the watchdog takes a batch over (`taken_over`), the worker
   /// discards its in-flight result and exits — the watchdog has already
@@ -236,36 +223,19 @@ class AlignmentService {
     std::size_t next = 0;                 ///< first unclaimed item
     std::size_t done = 0;                 ///< resolved items (prefix)
     bool taken_over = false;
-    u64 batch_bases = 0;
-    u64 batch_dirs_bytes = 0;  ///< estimated dirs bytes reserved at dispatch
     std::atomic<bool> busy{false};
     std::atomic<i64> heartbeat_ns{0};  ///< steady_clock epoch of last progress
   };
 
-  struct Shard {
-    explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
-    BoundedQueue<RequestBatch> queue;
-    std::atomic<u64> outstanding_bases{0};
-    /// Estimated dirs bytes of dispatched-but-unfinished batches; the
-    /// scheduler's footprint-aware gating reads it, workers settle it.
-    std::atomic<u64> outstanding_dirs_bytes{0};
-    std::mutex mu;  ///< guards workers/retired below
-    struct WorkerHandle {
-      std::thread thread;
-      std::shared_ptr<WorkerState> state;
-    };
-    std::vector<WorkerHandle> workers;
-    std::vector<std::thread> retired;  ///< stalled threads, joined at shutdown
-    std::thread watchdog;
+  struct WorkerHandle {
+    std::thread thread;
+    std::shared_ptr<WorkerState> state;
   };
 
   void start();
   void scheduler_loop();
-  void worker_loop(u32 shard, std::shared_ptr<WorkerState> state);
-  void watchdog_loop(u32 shard);
-  void dispatch_batch(RequestBatch&& batch);
-  /// The shard with the most workers waiting on an empty queue, if any.
-  std::optional<u32> idle_shard() const;
+  void worker_loop(std::shared_ptr<WorkerState> state);
+  void watchdog_loop();
   std::future<MapResponse> admit(MapRequest req, bool blocking);
   /// Per-batch device-offload context a worker threads through serve_one
   /// when the placement policy routed the batch to the device. `mapper` is
@@ -288,9 +258,8 @@ class AlignmentService {
   /// `arena` is the calling worker's reusable DP workspace (steady-state
   /// alignments do not allocate); nullptr falls back to the thread-shared
   /// arena. `gpu` non-null routes score-mode DP through the device.
-  MapResponse serve_one(PendingRequest& p, u32 shard_id, const RequestBatch& batch,
-                        const Mapper* mapper, detail::KernelArena* arena,
-                        GpuServe* gpu = nullptr);
+  MapResponse serve_one(PendingRequest& p, const RequestBatch& batch, const Mapper* mapper,
+                        detail::KernelArena* arena, GpuServe* gpu = nullptr);
   /// Terminal metrics/breaker accounting, called once at promise resolution.
   void account(const PendingRequest& p, const MapResponse& resp);
   void maybe_verify_live(const MapRequest& req, const MapResponse& resp,
@@ -331,9 +300,12 @@ class AlignmentService {
   ServiceMetrics metrics_;
 
   BoundedQueue<PendingRequest> ingress_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  BoundedQueue<RequestBatch> batches_;  ///< scheduler -> workers
+  std::mutex workers_mu_;               ///< guards workers_ and retired_
+  std::vector<WorkerHandle> workers_;
+  std::vector<std::thread> retired_;  ///< stalled threads, joined at shutdown
   std::thread scheduler_;
-  u64 rr_next_ = 0;  ///< scheduler-thread only
+  std::thread watchdog_;
   std::atomic<bool> stopped_{false};
   std::atomic<u64> ok_responses_{0};  ///< drives verify sampling
   std::mutex watchdog_mu_;

@@ -4,7 +4,7 @@
 // whole serving scenario: a synthetic reference, a mutated read set, and
 // the configuration knobs of every layer above the kernels — degradation
 // rungs (streamed dirs, banded, score-only, device offload), service
-// topology (worker counts, shuffled submission orders), the memory ladder,
+// worker counts and shuffled submission orders, the memory ladder,
 // live-oracle sampling, and an armed fault plan. check_e2e_case
 // (e2e_fuzzer.hpp) replays the case through the real Mapper::map and
 // AlignmentService paths and asserts the determinism contract:
@@ -74,7 +74,6 @@ struct E2eConfig {
   // ServiceConfig::MemoryConfig so responses span the degrade levels.
   u64 svc_resident_bytes = 0;
   u64 svc_score_only_bytes = 0;
-  u64 svc_banded_bytes = 0;
   /// Live-oracle sampling rate for every service run (1 = audit all).
   u64 verify_every = 1;
   // Chaos phase (empty faults = skip): the service run repeated with this

@@ -137,15 +137,13 @@ ServiceConfig make_service_cfg(const E2eConfig& g, const MapOptions& opt, u32 wo
                                bool with_mem, bool with_gpu) {
   ServiceConfig cfg;
   cfg.map = opt;
-  cfg.shards = workers >= 4 ? 2 : 1;
-  cfg.workers_per_shard = std::max(1u, workers / cfg.shards);
+  cfg.workers_per_shard = workers;
   cfg.paf_with_cigar = true;
   cfg.verify_sample_every = g.verify_every;
   cfg.verify_max_cells = kAuditMaxCells;
   if (with_mem) {
     cfg.mem.resident_request_bytes = g.svc_resident_bytes;
     cfg.mem.score_only_above_bytes = g.svc_score_only_bytes;
-    cfg.mem.banded_request_bytes = g.svc_banded_bytes;
   }
   if (with_gpu) {
     cfg.gpu.enabled = true;
@@ -181,7 +179,7 @@ ServiceRun run_service(const Reference& ref, const MinimizerIndex& index,
 }
 
 bool has_mem_ladder(const E2eConfig& g) {
-  return g.svc_resident_bytes != 0 || g.svc_score_only_bytes != 0 || g.svc_banded_bytes != 0;
+  return g.svc_resident_bytes != 0 || g.svc_score_only_bytes != 0;
 }
 
 CheckResult check_e2e_case_impl(const E2eCase& c) {
@@ -337,9 +335,8 @@ CheckResult check_e2e_case_impl(const E2eCase& c) {
                                  std::string(to_string(resp.status)) + " " + resp.error);
       any_degraded = any_degraded || resp.degraded || resp.degrade != DegradeLevel::kNone;
       const bool score_only = resp.degraded || resp.degrade == DegradeLevel::kScoreOnly;
-      // Streamed-dirs (and the banded rung, which reports kNone) answers
-      // are bit-identical by contract; score-only answers must equal the
-      // direct score-only baseline bit-for-bit.
+      // Streamed-dirs answers are bit-identical by contract; score-only
+      // answers must equal the direct score-only baseline bit-for-bit.
       const CheckResult r =
           compare_mapping_lists(score_only ? "memory-ladder score-only" : "memory-ladder",
                                 i, resp.mappings, score_only ? base_so[i] : base[i]);
@@ -424,7 +421,6 @@ E2eCase make_e2e_case(u64 seed) {
   if (rng.chance(1, 2)) {
     g.svc_resident_bytes = (u64{32} << 10) << rng.below(3);
     if (rng.chance(1, 3)) g.svc_score_only_bytes = (u64{1} << 20) + rng.below(u64{2} << 20);
-    if (rng.chance(1, 3)) g.svc_banded_bytes = u64{512} << 10;
   }
   g.verify_every = 1;
   if (rng.chance(1, 4)) {
@@ -437,8 +433,8 @@ E2eCase make_e2e_case(u64 seed) {
     // Absorbed sites (the fallback/degradation ladders must hide them)
     // plus the worker-compute site (fails structurally) and a scheduler
     // delay (reorders batches without changing answers). No kStall — the
-    // watchdog path has its own dedicated chaos coverage and a 10 s
-    // timeout would dominate the sweep.
+    // watchdog path has its own dedicated chaos coverage and its
+    // stall_bound (100 s under live audits) would dominate the sweep.
     static constexpr Cand kCands[] = {
         {"align.dp.alloc", fault::FaultKind::kError, 3, 0, 0},
         {"align.dirs.spill", fault::FaultKind::kError, 3, 0, 0},
@@ -542,7 +538,6 @@ E2eCase minimize_e2e_case(const E2eCase& input,
   try_step([](E2eCase& x) {
     x.cfg.svc_resident_bytes = 0;
     x.cfg.svc_score_only_bytes = 0;
-    x.cfg.svc_banded_bytes = 0;
   });
   try_step([](E2eCase& x) {
     x.cfg.band = 0;

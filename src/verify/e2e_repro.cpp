@@ -21,7 +21,6 @@
 //   shuffle_seed 3
 //   svc_resident 65536     (optional)
 //   svc_score_only 1       (optional)
-//   svc_banded 524288      (optional)
 //   verify_every 1
 //   fault_seed 9           (optional)
 //   fault service.worker.compute error 4 2 0
@@ -80,7 +79,6 @@ std::string format_e2e_repro(const E2eCase& c, const std::string& note) {
   out << "shuffle_seed " << g.shuffle_seed << "\n";
   if (g.svc_resident_bytes != 0) out << "svc_resident " << g.svc_resident_bytes << "\n";
   if (g.svc_score_only_bytes != 0) out << "svc_score_only " << g.svc_score_only_bytes << "\n";
-  if (g.svc_banded_bytes != 0) out << "svc_banded " << g.svc_banded_bytes << "\n";
   out << "verify_every " << g.verify_every << "\n";
   if (g.fault_seed != 0) out << "fault_seed " << g.fault_seed << "\n";
   for (const E2eFault& f : g.faults)
@@ -151,8 +149,6 @@ bool parse_e2e_repro(const std::string& text, E2eCase* out, std::string* err) {
       if (!(ls >> g.svc_resident_bytes)) return fail("bad svc_resident: " + line);
     } else if (key == "svc_score_only") {
       if (!(ls >> g.svc_score_only_bytes)) return fail("bad svc_score_only: " + line);
-    } else if (key == "svc_banded") {
-      if (!(ls >> g.svc_banded_bytes)) return fail("bad svc_banded: " + line);
     } else if (key == "verify_every") {
       if (!(ls >> g.verify_every)) return fail("bad verify_every: " + line);
     } else if (key == "fault_seed") {

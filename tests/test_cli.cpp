@@ -2,6 +2,8 @@
 // in both output formats, exercising the tool exactly as a user would.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -110,13 +112,23 @@ TEST(Cli, RejectsNonPositiveNumericOptions) {
 
 TEST(Serve, RejectsNonPositiveNumericOptions) {
   for (const char* bad :
-       {"--workers 0", "--shards -1", "--batch-size 0", "--queue-capacity -4",
+       {"--workers 0", "--batch-size 0", "--queue-capacity -4",
         "--verify-sample 0", "--mem-budget-mb 0", "--mem-budget-mb -5", "--reads 2x",
         "--length nope", "--batch-delay-us -1", "--deadline-ms -1", "--rate -0.5",
         "--seed -9"}) {
     // Bad value last so it wins over the baseline (repeated options keep
     // the final occurrence).
     EXPECT_NE(run_serve("--reads 1 --length 10000 " + std::string(bad)), 0) << bad;
+  }
+}
+
+TEST(Serve, RemovedSchedulingOptionsExitTwo) {
+  // One worker pool serving batches in arrival order: the shard, dispatch
+  // and batch-order options are gone and answer with the usage message.
+  for (const char* gone : {"--shards 2", "--dispatch length", "--no-longest-first"}) {
+    const int status = run_serve("--reads 1 --length 10000 " + std::string(gone));
+    ASSERT_TRUE(WIFEXITED(status)) << gone;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << gone;
   }
 }
 

@@ -40,7 +40,6 @@ E2eCase full_case() {
   c.cfg.shuffle_seed = 9;
   c.cfg.svc_resident_bytes = 65'536;
   c.cfg.svc_score_only_bytes = 1'048'576;
-  c.cfg.svc_banded_bytes = 524'288;
   c.cfg.verify_every = 2;
   c.cfg.fault_seed = 77;
   c.cfg.faults.push_back({"service.worker.compute", fault::FaultKind::kError, 4, 2, 0});
@@ -74,7 +73,6 @@ TEST(ReproV2, RoundTripsEveryField) {
   EXPECT_EQ(a.shuffle_seed, b.shuffle_seed);
   EXPECT_EQ(a.svc_resident_bytes, b.svc_resident_bytes);
   EXPECT_EQ(a.svc_score_only_bytes, b.svc_score_only_bytes);
-  EXPECT_EQ(a.svc_banded_bytes, b.svc_banded_bytes);
   EXPECT_EQ(a.verify_every, b.verify_every);
   EXPECT_EQ(a.fault_seed, b.fault_seed);
   ASSERT_EQ(a.faults.size(), b.faults.size());
@@ -100,7 +98,7 @@ TEST(ReproV2, OptionalKeysAbsentParseAsDefaults) {
   const std::string text = format_e2e_repro(minimal, "");
   // No optional knob is set, so none of their keys may appear.
   for (const char* key : {"\nband ", "\nzdrop ", "\ndirs_budget ", "\ngpu ", "\nsvc_resident ",
-                          "\nsvc_score_only ", "\nsvc_banded ", "\nfault_seed ", "\nfault ",
+                          "\nsvc_score_only ", "\nfault_seed ", "\nfault ",
                           "\nread "})
     EXPECT_EQ(text.find(key), std::string::npos) << key;
   E2eCase back;
@@ -112,7 +110,6 @@ TEST(ReproV2, OptionalKeysAbsentParseAsDefaults) {
   EXPECT_FALSE(back.cfg.gpu);
   EXPECT_EQ(back.cfg.svc_resident_bytes, 0u);
   EXPECT_EQ(back.cfg.svc_score_only_bytes, 0u);
-  EXPECT_EQ(back.cfg.svc_banded_bytes, 0u);
   EXPECT_EQ(back.cfg.fault_seed, 0u);
   EXPECT_TRUE(back.cfg.faults.empty());
   EXPECT_TRUE(back.reads.empty());
@@ -127,8 +124,10 @@ TEST(ReproV2, RejectsMalformed) {
   // Missing kind.
   EXPECT_FALSE(parse_e2e_repro("manymap-verify-repro v2\nseed 1\n", &out, &err));
   EXPECT_NE(err.find("kind"), std::string::npos);
-  // Unknown key.
+  // Unknown keys, including the deleted memory-ladder banded rung.
   EXPECT_FALSE(parse_e2e_repro("manymap-verify-repro v2\nkind e2e\nbogus 1\n", &out, &err));
+  EXPECT_FALSE(
+      parse_e2e_repro("manymap-verify-repro v2\nkind e2e\nsvc_banded 524288\n", &out, &err));
   // Bad fault kind.
   EXPECT_FALSE(parse_e2e_repro(
       "manymap-verify-repro v2\nkind e2e\nfault site.x explode 1 0 0\n", &out, &err));
@@ -242,7 +241,6 @@ TEST(ServiceDegradedAudit, VerifiedDegradedCounted) {
 
   ServiceConfig cfg;
   cfg.map = MapOptions::map_pb();
-  cfg.shards = 1;
   cfg.workers_per_shard = 1;
   cfg.mem.score_only_above_bytes = 1;  // every request sheds to score-only
   cfg.verify_sample_every = 1;

@@ -525,7 +525,6 @@ const GpuWorkload& gpu_workload() {
 
 ServiceConfig gpu_service_config() {
   ServiceConfig cfg;
-  cfg.shards = 1;
   cfg.workers_per_shard = 2;
   cfg.batch.max_batch_size = 8;
   cfg.gpu.enabled = true;

@@ -479,7 +479,6 @@ const ServiceWorkload& sw() {
 
 ServiceConfig quick_cfg() {
   ServiceConfig cfg;
-  cfg.shards = 1;
   cfg.workers_per_shard = 2;
   cfg.index.backoff_initial = std::chrono::milliseconds(1);
   cfg.index.backoff_cap = std::chrono::milliseconds(10);
@@ -592,7 +591,7 @@ TEST(ServiceIndexLoad, ReloadDuringTrafficIsRaceFree) {
   save_index(path, MinimizerIndex::build(sw().ref, SketchParams{15, 10}));
 
   ServiceConfig cfg = quick_cfg();
-  cfg.shards = 2;
+  cfg.workers_per_shard = 4;
   cfg.ingress_capacity = 256;
   AlignmentService svc(sw().ref, cfg);
   std::atomic<bool> stop{false};

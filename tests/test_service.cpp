@@ -60,13 +60,14 @@ PendingRequest make_pending(u64 id, std::size_t len) {
   return p;
 }
 
-TEST(BatchScheduler, CoalescesBySizeAndSortsLongestFirst) {
+TEST(BatchScheduler, CoalescesBySizeInArrivalOrder) {
+  // Lengths rise then fall across arrivals, so any length sort would move
+  // some request inside its batch.
   BoundedQueue<PendingRequest> ingress(64);
-  for (u64 i = 0; i < 10; ++i) ingress.push(make_pending(i, 100 + (i * 37) % 500));
+  for (u64 i = 0; i < 10; ++i) ingress.push(make_pending(i, i < 6 ? 100 + i * 37 : 900 - i * 50));
   ingress.close();
-  BatchPolicy policy;
+  BatchPolicy policy;  // default: arrival order, no linger
   policy.max_batch_size = 4;
-  policy.longest_first = true;
   std::vector<RequestBatch> batches;
   const u64 n = BatchScheduler(ingress, policy).run(
       [&](RequestBatch&& b) { batches.push_back(std::move(b)); });
@@ -75,28 +76,12 @@ TEST(BatchScheduler, CoalescesBySizeAndSortsLongestFirst) {
   EXPECT_EQ(batches[0].items.size(), 4u);
   EXPECT_EQ(batches[1].items.size(), 4u);
   EXPECT_EQ(batches[2].items.size(), 2u);
-  u64 total = 0;
+  u64 next_id = 0;
   for (std::size_t b = 0; b < batches.size(); ++b) {
     EXPECT_EQ(batches[b].id, b);
-    total += batches[b].items.size();
-    for (std::size_t i = 1; i < batches[b].items.size(); ++i)
-      EXPECT_GE(batches[b].items[i - 1].req.read.size(), batches[b].items[i].req.read.size());
+    for (const PendingRequest& p : batches[b].items) EXPECT_EQ(p.req.id, next_id++);
   }
-  EXPECT_EQ(total, 10u);
-}
-
-TEST(BatchScheduler, FifoOrderWhenLongestFirstOff) {
-  BoundedQueue<PendingRequest> ingress(64);
-  for (u64 i = 0; i < 6; ++i) ingress.push(make_pending(i, 600 - i * 50));
-  ingress.close();
-  BatchPolicy policy;
-  policy.max_batch_size = 100;
-  policy.longest_first = false;
-  std::vector<RequestBatch> batches;
-  BatchScheduler(ingress, policy).run([&](RequestBatch&& b) { batches.push_back(std::move(b)); });
-  ASSERT_EQ(batches.size(), 1u);
-  for (std::size_t i = 0; i < batches[0].items.size(); ++i)
-    EXPECT_EQ(batches[0].items[i].req.id, i);  // arrival order preserved
+  EXPECT_EQ(next_id, 10u);
 }
 
 TEST(BatchScheduler, MaxDelayFlushesPartialBatch) {
@@ -164,9 +149,7 @@ TEST(BatchScheduler, BusyWorkersGetWhatTheIngressHolds) {
 TEST(Service, MatchesSerialMapperByteForByte) {
   const auto& w = workload();
   ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.workers_per_shard = 2;
-  cfg.dispatch = ServiceConfig::Dispatch::kLeastLoaded;
+  cfg.workers_per_shard = 4;  // one pool of four workers
   cfg.batch.max_batch_size = 8;
   AlignmentService svc(w.ref, cfg);
   std::vector<std::future<MapResponse>> futures;
@@ -181,7 +164,6 @@ TEST(Service, MatchesSerialMapperByteForByte) {
     EXPECT_EQ(r.status, RequestStatus::kOk);
     EXPECT_EQ(r.id, i);
     EXPECT_EQ(r.paf, w.serial_paf[i]) << "read " << i;
-    EXPECT_LT(r.shard, cfg.shards);
     EXPECT_GE(r.batch_size, 1u);
   }
   svc.shutdown();
@@ -208,25 +190,6 @@ TEST(Service, IdleServiceAnswersALoneRequestWithoutLinger) {
   EXPECT_GE(r.batch_wait_ms, 0.0);
   EXPECT_GE(r.shard_wait_ms, 0.0);
   EXPECT_EQ(r.queue_ms, r.batch_wait_ms + r.shard_wait_ms);
-}
-
-TEST(Service, LongestFirstToggleBothMatchSerial) {
-  const auto& w = workload();
-  for (const bool longest_first : {true, false}) {
-    ServiceConfig cfg;
-    cfg.workers_per_shard = 2;
-    cfg.batch.longest_first = longest_first;
-    AlignmentService svc(w.ref, cfg);
-    std::vector<std::future<MapResponse>> futures;
-    for (std::size_t i = 0; i < 40; ++i) {
-      MapRequest req;
-      req.id = i;
-      req.read = w.reads[i];
-      futures.push_back(svc.submit_wait(std::move(req)));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i)
-      EXPECT_EQ(futures[i].get().paf, w.serial_paf[i]) << "longest_first=" << longest_first;
-  }
 }
 
 TEST(Service, RejectsWhenIngressFull) {
@@ -399,6 +362,18 @@ TEST(Service, LiveVerifySamplingCountsInMetrics) {
   EXPECT_EQ(snap.verify_divergences, 0u);
 }
 
+TEST(ServiceWatchdog, StallBoundScalesForDeviceOrLiveAudits) {
+  ServiceConfig cfg;
+  cfg.watchdog.stall_timeout = 10s;
+  EXPECT_EQ(stall_bound(cfg), 10s);  // CPU path, no audits
+  cfg.verify_sample_every = 16;
+  EXPECT_EQ(stall_bound(cfg), 100s);  // live audits
+  cfg.gpu.enabled = true;
+  EXPECT_EQ(stall_bound(cfg), 250s);  // device interpreter; the factors never stack
+  cfg.verify_sample_every = 0;
+  EXPECT_EQ(stall_bound(cfg), 250s);
+}
+
 #if MANYMAP_FAULT_INJECTION
 
 TEST(ServiceFault, WorkerComputeFaultYieldsStructuredFailed) {
@@ -477,7 +452,6 @@ TEST(ServiceFault, WatchdogFailsStalledBatchAndRespawnsWorker) {
   spec.delay = std::chrono::milliseconds(1'500);
   plan.arm(spec);
   ServiceConfig cfg;
-  cfg.shards = 1;
   cfg.workers_per_shard = 1;
   cfg.watchdog.poll = 10ms;
   cfg.watchdog.stall_timeout = 100ms;
@@ -528,6 +502,35 @@ TEST(ServiceFault, WatchdogFailsStalledBatchAndRespawnsWorker) {
 // thread is still sleeping must join the respawned worker AND the retired
 // stalled thread, and submits after shutdown stay kRejected. Runs under
 // TSan via the `service` label.
+// The watchdog enforces stall_bound, not the bare timeout: a request that
+// outlasts stall_timeout but not the live-audit bound is served, not failed.
+TEST(ServiceFault, LiveAuditsWidenTheWatchdogBound) {
+  const auto& w = workload();
+  fault::FaultPlan plan(28);
+  fault::FaultSpec spec;
+  spec.site = "service.worker.compute";
+  spec.kind = fault::FaultKind::kSlow;
+  spec.one_in = 1;
+  spec.max_fires = 1;
+  spec.delay = std::chrono::milliseconds(500);
+  plan.arm(spec);
+  ServiceConfig cfg;
+  cfg.workers_per_shard = 1;
+  cfg.verify_sample_every = 1;
+  cfg.watchdog.poll = 10ms;
+  cfg.watchdog.stall_timeout = 200ms;  // the bound is 2 s
+  AlignmentService svc(w.ref, cfg);
+  const fault::ScopedPlan guard(&plan);
+  MapRequest req;
+  req.id = 0;
+  req.read = w.reads[0];
+  const MapResponse r = svc.submit_wait(std::move(req)).get();
+  EXPECT_EQ(r.status, RequestStatus::kOk) << r.error;
+  EXPECT_EQ(r.paf, w.serial_paf[0]);
+  svc.shutdown();
+  EXPECT_EQ(svc.metrics().snapshot().worker_stalls, 0u);
+}
+
 TEST(ServiceFault, ShutdownJoinsRespawnedWorkersAndRejectsAfter) {
   const auto& w = workload();
   fault::FaultPlan plan(24);
@@ -539,7 +542,6 @@ TEST(ServiceFault, ShutdownJoinsRespawnedWorkersAndRejectsAfter) {
   spec.delay = std::chrono::milliseconds(800);
   plan.arm(spec);
   ServiceConfig cfg;
-  cfg.shards = 1;
   cfg.workers_per_shard = 1;
   cfg.watchdog.poll = 10ms;
   cfg.watchdog.stall_timeout = 80ms;
@@ -730,8 +732,7 @@ TEST(ServiceFault, ChaosMiniEveryRequestTerminalAndServiceRecovers) {
   plan.arm(delay);
 
   ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.workers_per_shard = 2;
+  cfg.workers_per_shard = 4;
   cfg.ingress_capacity = 16;
   cfg.breaker.failure_threshold = 4;
   cfg.breaker.cooldown = 100ms;
@@ -776,11 +777,9 @@ TEST(ServiceFault, ChaosMiniEveryRequestTerminalAndServiceRecovers) {
 TEST(ServiceMemory, TightBudgetStreamsDirsByteIdentically) {
   const auto& w = workload();
   ServiceConfig cfg;
-  cfg.shards = 1;
   cfg.workers_per_shard = 2;
   // Resident threshold far below any request estimate: every path-mode
   // kernel must stream its dirs, and the PAF must not change by one byte.
-  cfg.mem.shard_budget_bytes = u64{8} << 20;
   cfg.mem.resident_request_bytes = u64{32} << 10;
   cfg.mem.score_only_above_bytes = u64{1} << 40;  // never score-only
   AlignmentService svc(w.ref, cfg);
@@ -813,11 +812,9 @@ TEST(ServiceMemory, TightBudgetStreamsDirsByteIdentically) {
 TEST(ServiceMemory, OverBudgetRequestsDegradeToScoreOnly) {
   const auto& w = workload();
   ServiceConfig cfg;
-  cfg.shards = 1;
   cfg.workers_per_shard = 1;
   // Everything sits above the score-only rung: responses stay kOk but drop
   // the CIGAR, and the ladder takes precedence over streaming.
-  cfg.mem.shard_budget_bytes = u64{8} << 20;
   cfg.mem.resident_request_bytes = u64{32} << 10;
   cfg.mem.score_only_above_bytes = 1;
   AlignmentService svc(w.ref, cfg);
@@ -840,42 +837,10 @@ TEST(ServiceMemory, OverBudgetRequestsDegradeToScoreOnly) {
   EXPECT_EQ(snap.streamed_responses, 0u);
 }
 
-TEST(ServiceMemory, ShardBudgetRedirectsCountAndPreserveResults) {
-  const auto& w = workload();
-  ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.workers_per_shard = 1;
-  cfg.batch.max_batch_size = 4;
-  // A 1-byte shard budget puts every batch over budget at dispatch: each
-  // one redirects to the shard with the least outstanding dirs bytes.
-  // Results must stay byte-identical — gating reorders, never corrupts.
-  cfg.mem.shard_budget_bytes = 1;
-  cfg.mem.resident_request_bytes = u64{1} << 40;
-  cfg.mem.score_only_above_bytes = u64{1} << 40;
-  AlignmentService svc(w.ref, cfg);
-  std::vector<std::future<MapResponse>> futures;
-  for (std::size_t i = 0; i < 24; ++i) {
-    MapRequest req;
-    req.id = i;
-    req.read = w.reads[i];
-    futures.push_back(svc.submit_wait(std::move(req)));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    const MapResponse r = futures[i].get();
-    ASSERT_EQ(r.status, RequestStatus::kOk);
-    EXPECT_EQ(r.paf, w.serial_paf[i]) << "read " << i;
-  }
-  svc.shutdown();
-  const auto snap = svc.metrics().snapshot();
-  EXPECT_GT(snap.budget_redirects, 0u);
-}
-
 TEST(ServiceMemory, IdleWorkersTrimTheirArenas) {
   const auto& w = workload();
   ServiceConfig cfg;
-  cfg.shards = 1;
   cfg.workers_per_shard = 1;
-  cfg.idle_trim.enabled = true;
   cfg.idle_trim.after_idle = 20ms;
   cfg.idle_trim.retain_bytes = 1 << 10;
   AlignmentService svc(w.ref, cfg);

@@ -4,8 +4,8 @@
 //
 // Each seed deterministically derives a fault plan (worker exceptions,
 // slow/stalled compute, DP allocation failures, queue delays), a small
-// randomized service configuration (shards, workers, batch linger,
-// watchdog, breaker) and a request mix (submit vs submit_wait, with and
+// randomized service configuration (workers, batch linger, watchdog,
+// breaker) and a request mix (submit vs submit_wait, with and
 // without deadlines), then asserts the robustness contract. Every eighth
 // seed is a SPILL STORM: the memory budget is squeezed until every
 // path-mode kernel streams its direction bytes through a spill sink, and the
@@ -105,8 +105,7 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
     cfg.verify_sample_every = 1;
     cfg.verify_max_cells = 8'000'000;
   }
-  cfg.shards = static_cast<u32>(rng.range(1, 2));
-  cfg.workers_per_shard = static_cast<u32>(rng.range(1, 3));
+  cfg.workers_per_shard = static_cast<u32>(rng.range(1, 6));
   cfg.ingress_capacity = static_cast<std::size_t>(rng.range(8, 32));
   cfg.batch.max_batch_size = static_cast<u32>(rng.range(2, 8));
   // Half the seeds run the default work-conserving scheduler (no linger),
@@ -114,6 +113,9 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
   const i64 delay_draw = rng.range(0, 3600);
   cfg.batch.max_delay = std::chrono::microseconds(delay_draw < 1800 ? 0 : delay_draw - 1600);
   cfg.watchdog.poll = std::chrono::milliseconds(20);
+  // The service scales this CPU-calibrated timeout for gpu-storm seeds and
+  // --oracle audits (stall_bound); CPU takeover timing stays covered by
+  // the seeds with neither.
   cfg.watchdog.stall_timeout =
       std::chrono::milliseconds(std::max<i64>(rng.range(150, 250), stall_floor_ms));
   cfg.breaker.failure_threshold = 4;
@@ -126,7 +128,6 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
   // (resident -> streamed -> fallback) under injected spill failures.
   const bool spill_storm = seed % 8 == 0;
   if (spill_storm) {
-    cfg.mem.shard_budget_bytes = u64{8} << 20;
     cfg.mem.resident_request_bytes = u64{32} << 10;
     cfg.mem.score_only_above_bytes = u64{1} << 30;
   }
@@ -144,13 +145,6 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
     cfg.gpu.batch.placement.min_reads = 1;
     cfg.gpu.batch.placement.min_mean_read_len = 200;
     cfg.gpu.batch.placement.max_length_cv = 2.0;
-    // The simulated device *executes* lanes through the cycle-accurate
-    // interpreter (~25x native wall time), so a per-item heartbeat that is
-    // honest on the CPU looks stalled on the device path. Scale the stall
-    // timeout accordingly (stall-fault delays below derive from it, so
-    // injected stalls still outlast the watchdog); CPU-calibrated takeover
-    // timing stays covered by the three quarters of seeds without gpu.
-    cfg.watchdog.stall_timeout *= 25;
   }
   // Index-storm seeds: serve from an asynchronously loaded index (saved
   // once by main) with the load path under fault fire. Warm-up answers
@@ -164,17 +158,10 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
     cfg.index.backoff_cap = std::chrono::milliseconds(40);
   }
 
-  // The live oracle replays every sampled mapping through a reference DP
-  // inside worker compute — roughly an order of magnitude over bare
-  // mapping. Widen the watchdog so auditing is never mistaken for a stall.
-  // The gpu-storm x25 already clears the audit overhead; the factors must
-  // not stack, or injected stalls become unrecoverable inside the 60 s
-  // future-resolution contract.
-  if (oracle && !gpu_storm) cfg.watchdog.stall_timeout *= 10;
-
   // Fault schedule: 1-4 specs drawn from the site catalog. Stalls are kept
-  // rare and bounded (one firing, ~1-2x the watchdog timeout) so a round
-  // exercises takeover/respawn without dominating wall time.
+  // rare and bounded (one firing, 1.5-3x the watchdog's stall bound, so
+  // an injected stall always outlasts it) so a round exercises
+  // takeover/respawn without dominating wall time.
   fault::FaultPlan plan(seed);
   const u32 nspecs = static_cast<u32>(rng.range(1, 4));
   for (u32 i = 0; i < nspecs; ++i) {
@@ -196,8 +183,7 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
         spec.kind = fault::FaultKind::kStall;
         spec.one_in = static_cast<u32>(rng.range(10, 20));
         spec.max_fires = 1;
-        spec.delay = std::chrono::milliseconds(
-            cfg.watchdog.stall_timeout.count() * rng.range(3, 6) / 2);
+        spec.delay = std::chrono::milliseconds(stall_bound(cfg).count() * rng.range(3, 6) / 2);
         break;
       case 3:
         spec.site = "align.dp.alloc";
@@ -337,12 +323,12 @@ SeedReport run_seed(u64 seed, const Reference& ref, const std::vector<Sequence>&
 
   if (verbose)
     std::fprintf(stderr,
-                 "[chaos] seed=%llu%s%s%s shards=%u workers=%u delay_us=%lld specs=%u "
+                 "[chaos] seed=%llu%s%s%s workers=%u delay_us=%lld specs=%u "
                  "fires=%llu ok=%llu rejected=%llu timed_out=%llu failed=%llu warming=%llu "
                  "stalls=%llu%s%s\n",
                  static_cast<unsigned long long>(seed), spill_storm ? " [spill-storm]" : "",
                  gpu_storm ? " [gpu-storm]" : "", index_storm ? " [index-storm]" : "",
-                 cfg.shards, cfg.workers_per_shard,
+                 cfg.workers_per_shard,
                  static_cast<long long>(cfg.batch.max_delay.count()), nspecs,
                  static_cast<unsigned long long>(plan.fires()),
                  static_cast<unsigned long long>(by_status[0]),

@@ -14,14 +14,12 @@
 //   --preset map-pb|map-ont  --layout minimap2|manymap  --isa <name>
 //   --band B               kernel band half-width (default 0 = unbanded)
 //   --zdrop Z              adaptive X-drop threshold (0 = off)
-//   --workers N            worker threads per shard (default 4)
-//   --shards N             worker shards (default 1)
-//   --dispatch rr|length   batch dispatch policy (default rr)
+//   --workers N            worker threads, one pool (default 4)
 //   --queue-capacity N     ingress queue bound (default 64)
-//   --batch-size N         max requests per compute batch (default 16)
+//   --batch-size N         max requests per compute batch, served in
+//                          arrival order (default 16)
 //   --batch-delay-us N     linger for fuller batches while no worker is idle
 //                          (default 0 = no linger: hand batches off at once)
-//   --no-longest-first     disable §4.4.4 longest-first batch ordering
 //   --deadline-ms F        per-request deadline, 0 = none (default 0)
 // Replay:
 //   --rate R               Poisson arrivals/sec; 0 = burst (default 0)
@@ -32,11 +30,10 @@
 //                          divergence or mismatch
 //   --verify-sample N      sample every Nth kOk response (default 16)
 //   --paf                  print the PAF of every OK response (trace order)
-//   --mem-budget-mb M      per-shard dirs memory budget: requests whose
-//                          estimated direction-byte footprint exceeds M/4 MiB
-//                          run with streamed dirs (spill sinks), past 16*M
-//                          they are served score-only; dispatch routes
-//                          batches away from over-budget shards
+//   --mem-budget-mb M      dirs memory budget: requests whose estimated
+//                          direction-byte footprint exceeds M/4 MiB run with
+//                          streamed dirs (spill sinks), past 16*M MiB they
+//                          are served score-only
 //   --gpu                  enable device offload: the placement policy
 //                          routes long uniform batches through the simulated
 //                          SIMT device (score-mode DP on device, path on
@@ -153,9 +150,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: manymap_serve [--ref f.fa] [--reads-file f.fq] [--length N] [--reads N]\n"
                "  [--platform pacbio|nanopore] [--seed S] [--preset map-pb|map-ont]\n"
-               "  [--layout minimap2|manymap] [--isa name] [--workers N] [--shards N]\n"
-               "  [--dispatch rr|length] [--queue-capacity N] [--batch-size N]\n"
-               "  [--batch-delay-us N] [--no-longest-first] [--deadline-ms F] [--rate R]\n"
+               "  [--layout minimap2|manymap] [--isa name] [--workers N] [--queue-capacity N]\n"
+               "  [--batch-size N] [--batch-delay-us N] [--deadline-ms F] [--rate R]\n"
                "  [--admission block|reject] [--verify] [--verify-sample N] [--paf]\n"
                "  [--mem-budget-mb M] [--gpu] [--gpu-streams N]\n"
                "  [--index-save PATH] [--index-load PATH] [--index-verify PATH]\n"
@@ -163,8 +159,8 @@ int usage() {
                "numeric options must be positive integers (--deadline-ms/--rate accept 0 =\n"
                "disabled); --batch-delay-us is how long a partial batch lingers for more\n"
                "requests while no worker is idle (default 0 = no linger);\n"
-               "--mem-budget-mb caps each shard's estimated in-flight direction\n"
-               "bytes and degrades over-budget requests to streamed dirs, then score-only;\n"
+               "--mem-budget-mb M streams the dirs of requests estimated above M/4 MiB\n"
+               "and serves those above 16*M MiB score-only;\n"
                "--gpu offloads long uniform batches to the simulated device (bit-identical)\n");
   return 2;
 }
@@ -174,11 +170,11 @@ int usage() {
 
 int main(int argc, char** argv) {
   using namespace manymap;
-  const std::vector<std::string> flags{"no-longest-first", "verify", "paf", "gpu", "help"};
+  const std::vector<std::string> flags{"verify", "paf", "gpu", "help"};
   const std::vector<std::string> valued{
       "ref",      "reads-file", "length",         "reads",      "platform",
       "seed",     "preset",     "layout",         "isa",        "workers",
-      "shards",   "dispatch",   "queue-capacity", "batch-size", "batch-delay-us",
+      "queue-capacity", "batch-size", "batch-delay-us",
       "deadline-ms", "rate",    "admission",      "verify-sample", "mem-budget-mb",
       "gpu-streams", "band",    "zdrop",          "index-save", "index-load",
       "index-verify"};
@@ -231,7 +227,6 @@ int main(int argc, char** argv) {
   const auto seed_opt = nonneg_int_opt(args, "seed", 42);
   const auto length_opt = positive_opt(args, "length", 400'000);
   const auto reads_opt = positive_opt(args, "reads", 2000);
-  const auto shards_opt = positive_opt(args, "shards", 1);
   const auto workers_opt = positive_opt(args, "workers", 4);
   const auto queue_cap_opt = positive_opt(args, "queue-capacity", 64);
   const auto batch_size_opt = positive_opt(args, "batch-size", 16);
@@ -241,9 +236,9 @@ int main(int argc, char** argv) {
   const auto gpu_streams_opt = positive_opt(args, "gpu-streams", 8);
   const auto deadline_opt = nonneg_double_opt(args, "deadline-ms", 0.0);
   const auto rate_opt = nonneg_double_opt(args, "rate", 0.0);
-  if (!seed_opt || !length_opt || !reads_opt || !shards_opt || !workers_opt ||
-      !queue_cap_opt || !batch_size_opt || !batch_delay_opt || !verify_sample_opt ||
-      !mem_budget_opt || !gpu_streams_opt || !deadline_opt || !rate_opt)
+  if (!seed_opt || !length_opt || !reads_opt || !workers_opt || !queue_cap_opt ||
+      !batch_size_opt || !batch_delay_opt || !verify_sample_opt || !mem_budget_opt ||
+      !gpu_streams_opt || !deadline_opt || !rate_opt)
     return usage();
   const u64 seed = static_cast<u64>(*seed_opt);
 
@@ -288,22 +283,16 @@ int main(int argc, char** argv) {
                  args.get("zdrop", "").c_str());
     return usage();
   }
-  cfg.shards = static_cast<u32>(*shards_opt);
   cfg.workers_per_shard = static_cast<u32>(*workers_opt);
-  cfg.dispatch = args.get("dispatch", "rr") == "length" ? ServiceConfig::Dispatch::kLeastLoaded
-                                                        : ServiceConfig::Dispatch::kRoundRobin;
   cfg.ingress_capacity = static_cast<std::size_t>(*queue_cap_opt);
   cfg.batch.max_batch_size = static_cast<u32>(*batch_size_opt);
   cfg.batch.max_delay = std::chrono::microseconds(*batch_delay_opt);
-  cfg.batch.longest_first = !args.has("no-longest-first");
   if (args.has("verify")) cfg.verify_sample_every = static_cast<u64>(*verify_sample_opt);
   if (args.has("mem-budget-mb")) {
-    // One knob drives the whole ladder: the shard budget is M MiB, a
-    // single request may hold at most a quarter of it resident (above
-    // that it streams dirs), and anything estimated past 16x the budget
-    // is served score-only.
+    // One knob drives the whole ladder: a request may hold at most a
+    // quarter of the M MiB budget resident (above that it streams dirs),
+    // and anything estimated past 16x the budget is served score-only.
     const u64 budget = static_cast<u64>(*mem_budget_opt) << 20;
-    cfg.mem.shard_budget_bytes = budget;
     cfg.mem.resident_request_bytes = budget / 4;
     cfg.mem.score_only_above_bytes = budget * 16;
   }
@@ -392,12 +381,11 @@ int main(int argc, char** argv) {
   const auto snap = svc.metrics().snapshot();
   std::fputs(snap.report().c_str(), stderr);
   std::fprintf(stderr,
-               "[manymap_serve] %zu requests in %.3fs (%.0f req/s) — %u shard(s) x %u "
-               "worker(s), batch<=%u delay=%lldus longest_first=%d dispatch=%s\n",
-               reads.size(), wall_s, static_cast<double>(reads.size()) / wall_s, cfg.shards,
+               "[manymap_serve] %zu requests in %.3fs (%.0f req/s) — %u worker(s), "
+               "batch<=%u delay=%lldus\n",
+               reads.size(), wall_s, static_cast<double>(reads.size()) / wall_s,
                cfg.workers_per_shard, cfg.batch.max_batch_size,
-               static_cast<long long>(cfg.batch.max_delay.count()), cfg.batch.longest_first,
-               cfg.dispatch == ServiceConfig::Dispatch::kLeastLoaded ? "length" : "rr");
+               static_cast<long long>(cfg.batch.max_delay.count()));
 
   if (args.has("paf"))
     for (const auto& r : responses)
