@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace manymap {
 
@@ -36,5 +37,14 @@ constexpr u64 round_up(u64 x, u64 align) { return (x + align - 1) / align * alig
 
 /// Integer ceiling division.
 constexpr u64 ceil_div(u64 a, u64 b) { return (a + b - 1) / b; }
+
+/// Grows `v` to at least `n` elements and returns its data. It never
+/// shrinks, so a reused scratch buffer stops allocating once it has held
+/// the largest size asked of it.
+template <class T>
+T* grow_scratch(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
 
 }  // namespace manymap

@@ -22,7 +22,11 @@ struct Anchor {
 /// Match query minimizers against the index. Keys with more than
 /// `max_occ` occurrences are skipped (repeat masking). `qlen` is needed to
 /// flip coordinates for reverse-strand anchors. Result is sorted by
-/// (rid, rev, tpos, qpos) — the order chaining requires.
+/// (rid, rev, tpos, qpos) — the order chaining requires; no two anchors
+/// compare equal, so the order is unique. Lookups are prefetched ahead and
+/// the anchors radix-sorted in per-thread scratch that grows to the
+/// largest read and is reused, so a steady-state call allocates only the
+/// returned vector.
 std::vector<Anchor> collect_anchors(const MinimizerIndex& index,
                                     const std::vector<Minimizer>& query_minimizers, u32 qlen,
                                     u32 max_occ);

@@ -34,8 +34,16 @@ struct Chain {
   u32 qend() const { return anchors.back().qpos; }
 };
 
-/// Chain sorted anchors; returns chains sorted by score (descending) with
+/// Chain anchors sorted by (rid, rev, tpos, qpos), as collect_anchors
+/// returns them; returns chains sorted by score (descending) with
 /// primary/secondary flags assigned by query-interval overlap.
+///
+/// The order is total. Chains are peeled from tail anchors in order of
+/// tail DP score f descending, then tail index (position in `anchors`)
+/// ascending; a tail claims every unclaimed anchor on its predecessor path.
+/// The peeled chains are then stably sorted by score, so chains of equal
+/// score keep peel order. Repeated calls on the same input return
+/// identical lists.
 std::vector<Chain> chain_anchors(const std::vector<Anchor>& anchors, const ChainParams& p);
 
 }  // namespace manymap

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "base/radix_sort.hpp"
+
 namespace manymap {
 
 namespace {
@@ -12,24 +14,6 @@ std::size_t table_size_for(std::size_t keys) {
   std::size_t n = 16;
   while (n < keys * 2) n <<= 1;  // load factor <= 0.5
   return n;
-}
-
-/// Stable LSD radix sort of `mins` on the low `key_bits` bits of the key.
-/// The scratch buffer is freed on return, before the caller allocates the
-/// index tables, so it does not raise the build's peak memory.
-void sort_by_key(std::vector<Minimizer>& mins, u32 key_bits) {
-  constexpr u32 kDigitBits = 11;
-  std::vector<Minimizer> scratch(mins.size());
-  for (u32 shift = 0; shift < key_bits; shift += kDigitBits) {
-    std::vector<std::size_t> start((std::size_t{1} << kDigitBits) + 1, 0);
-    const auto digit = [&](const Minimizer& m) {
-      return (m.key >> shift) & ((1u << kDigitBits) - 1);
-    };
-    for (const Minimizer& m : mins) ++start[digit(m) + 1];
-    for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
-    for (const Minimizer& m : mins) scratch[start[digit(m)]++] = m;
-    mins.swap(scratch);
-  }
 }
 
 }  // namespace
@@ -43,8 +27,15 @@ MinimizerIndex MinimizerIndex::build(const Reference& ref, const SketchParams& p
     sketch(ref.contig(cid).codes, static_cast<u32>(cid), params, mins);
   // Order by (key, rid, pos). The sketch emits strictly increasing
   // positions per contig, so mins are already in (rid, pos) order and a
-  // stable sort on the key alone gives that order.
-  sort_by_key(mins, 2 * params.k);
+  // stable sort on the key alone gives that order. The scratch buffer is
+  // freed before the index tables are allocated, so it does not raise the
+  // build's peak memory.
+  {
+    std::vector<Minimizer> scratch(mins.size());
+    if (radix_sort(mins.data(), scratch.data(), mins.size(), 2 * params.k,
+                   [](const Minimizer& m) { return m.key; }) != mins.data())
+      mins.swap(scratch);
+  }
 
   MinimizerIndex idx;
   idx.params_ = params;

@@ -51,6 +51,13 @@ class MinimizerIndex {
   /// All hits for a key (empty span if absent).
   std::span<const IndexEntry> lookup(u64 key) const;
 
+  /// Start fetching the bucket where a lookup of `key` begins probing, so a
+  /// lookup issued a few keys later finds it in cache. Changes nothing.
+  void prefetch(u64 key) const {
+    if (!buckets_.empty())
+      __builtin_prefetch(&buckets_[detail::bucket_hash(key) & (buckets_.size() - 1)]);
+  }
+
   /// Number of hits for a key (0 if absent).
   std::size_t occurrences(u64 key) const { return lookup(key).size(); }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "base/cpu_features.hpp"
+#include "base/radix_sort.hpp"
 #include "base/random.hpp"
 #include "base/stats.hpp"
 
@@ -163,6 +167,29 @@ TEST(Common, RoundUpCeilDiv) {
   EXPECT_EQ(round_up(8, 8), 8u);
   EXPECT_EQ(ceil_div(9, 8), 2u);
   EXPECT_EQ(ceil_div(8, 8), 1u);
+}
+
+TEST(RadixSort, MatchesStableSortWhateverDigitsVary) {
+  // (key, input index) pairs: ties must keep input order. Keys vary in the
+  // low `bits` bits above a constant high part, so some digits are skipped
+  // and the result lands in either buffer.
+  Rng rng(17);
+  for (const u32 bits : {0u, 1u, 5u, 11u, 12u, 22u, 30u, 40u}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3000}}) {
+      std::vector<std::pair<u64, u32>> items(n), scratch(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const u64 low = bits == 0 ? 0 : rng.next_u64() & ((u64{1} << bits) - 1) & ~u64{3};
+        items[i] = {(u64{0x5a5} << 48) | low, static_cast<u32>(i)};
+      }
+      auto want = items;
+      std::stable_sort(want.begin(), want.end(),
+                       [](const auto& a, const auto& b) { return a.first < b.first; });
+      const auto* sorted = radix_sort(items.data(), scratch.data(), n, 64,
+                                      [](const std::pair<u64, u32>& x) { return x.first; });
+      ASSERT_TRUE(sorted == items.data() || sorted == scratch.data());
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), sorted)) << bits << " bits, n=" << n;
+    }
+  }
 }
 
 }  // namespace

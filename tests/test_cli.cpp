@@ -137,6 +137,41 @@ TEST(Serve, BatchDelayAcceptsZeroAsNoLinger) {
   EXPECT_EQ(run_serve("--length 20000 --reads 4 --workers 1 --batch-delay-us 300 --verify"), 0);
 }
 
+TEST(Serve, SummaryCountsOnlyAnsweredRequests) {
+  // A one-slot queue under --admission reject turns most of a burst away.
+  // The summary line must count and rate the kOk answers, not every
+  // request submitted.
+  const std::string log = tmp("serve_reject.log");
+  const std::string cmd = std::string(MANYMAP_SERVE_PATH) +
+                          " --reads 200 --length 20000 --workers 1 --queue-capacity 1"
+                          " --admission reject 2> " + log;
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  const std::string text = slurp(log);
+  std::remove(log.c_str());
+  unsigned long long rejected = 0;
+  const auto at = text.find("rejected=");
+  ASSERT_NE(at, std::string::npos) << text;
+  ASSERT_EQ(std::sscanf(text.c_str() + at, "rejected=%llu", &rejected), 1);
+  const auto line = text.find("[manymap_serve] ");
+  ASSERT_NE(line, std::string::npos) << text;
+  unsigned long long requests = 0, ok = 0;
+  double seconds = 0.0, rate = 0.0;
+  ASSERT_EQ(std::sscanf(text.c_str() + line, "[manymap_serve] %llu requests, %llu ok in %lfs (%lf",
+                        &requests, &ok, &seconds, &rate),
+            4)
+      << text.substr(line);
+  EXPECT_EQ(requests, 200u);
+  EXPECT_EQ(ok + rejected, requests);  // nothing timed out or failed
+  EXPECT_GT(rejected, 0u);
+  // The printed rate is ok / wall seconds. Both fields are rounded (the
+  // seconds to 1 ms), so the rate must lie in the interval that leaves.
+  const double answered = static_cast<double>(ok);
+  EXPECT_GE(rate + 0.5, answered / (seconds + 0.0005));
+  if (seconds > 0.0005) {
+    EXPECT_LE(rate - 0.5, answered / (seconds - 0.0005));
+  }
+}
+
 TEST(Serve, MemBudgetRunEndsCleanly) {
   // A tiny budget forces the dirs-streaming rung of the degradation ladder
   // end-to-end through the real binary; --verify audits the sampled

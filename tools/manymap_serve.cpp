@@ -377,13 +377,18 @@ int main(int argc, char** argv) {
   svc.shutdown();
   const double wall_s = wall.seconds();
 
-  // 5. Report.
+  // 5. Report. Throughput counts answered (kOk) requests only, as
+  //   bench_service_throughput and perfbench do: a rejected, timed-out or
+  //   failed request was not served.
   const auto snap = svc.metrics().snapshot();
   std::fputs(snap.report().c_str(), stderr);
+  const auto ok = static_cast<std::size_t>(
+      std::count_if(responses.begin(), responses.end(),
+                    [](const MapResponse& r) { return r.status == RequestStatus::kOk; }));
   std::fprintf(stderr,
-               "[manymap_serve] %zu requests in %.3fs (%.0f req/s) — %u worker(s), "
+               "[manymap_serve] %zu requests, %zu ok in %.3fs (%.0f ok req/s) — %u worker(s), "
                "batch<=%u delay=%lldus\n",
-               reads.size(), wall_s, static_cast<double>(reads.size()) / wall_s,
+               reads.size(), ok, wall_s, static_cast<double>(ok) / wall_s,
                cfg.workers_per_shard, cfg.batch.max_batch_size,
                static_cast<long long>(cfg.batch.max_delay.count()));
 
